@@ -45,7 +45,7 @@ print(f"monte carlo distance: {abs(mc.value - exact) / mc.diagnostics:.2f} stand
 # zero-rate put-call parity gives the call for free
 print(f"\ncall by parity: {call_from_put(exact, spec.spot, spec.strike):.8f}")
 
-# a fractional maturity just switches the closed form to one adaptive
+# a fractional maturity just switches the closed form to one tanh-sinh
 # quadrature; the quote then carries a propagated error estimate
 frac = price_put_cgz(OptionSpec(18.0, 20.0, 0.3), params)
 print(f"t = 0.3 (t/nu = 1.5): put {frac.value:.8f}, quadrature error ~{frac.diagnostics:.1e}")

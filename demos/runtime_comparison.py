@@ -5,7 +5,7 @@ repeated calls per row), then shows the FFT ladder pricing thousands of
 strikes in one pass.  Absolute numbers vary with hardware; the shape of
 the comparison does not.  On integer clock shapes (t/nu whole) the
 closed form is pure arithmetic and runs in ~0.1 ms; the fractional
-shapes timed here pay for one adaptive quadrature.  The mixture and
+shapes timed here pay for one tanh-sinh quadrature.  The mixture and
 Fourier integrals cost a few milliseconds each, Monte Carlo whatever
 the path budget says.
 """

@@ -25,18 +25,23 @@ interval involving only f'':
     D^alpha f(x) = -x^{2-alpha}/Gamma(2-alpha)
                    * int_0^1 y^{alpha-3} (1 - y)^{1-alpha} f''(x/y) dy.
 
-``frac_deriv_quadrature`` evaluates exactly that with adaptive
-Gauss-Kronrod quadrature; the endpoint singularities are integrable
-because f''(x/y) decays as y -> 0 faster than any power of y grows.
+``frac_deriv_quadrature`` evaluates exactly that with the tanh-sinh
+rule (Takahasi & Mori 1974): y = 1/(1 + e^{-pi sinh t}) clusters nodes
+double-exponentially at both ends, which absorbs the y^{alpha-3} and
+(1-y)^{1-alpha} endpoint behaviour; the singularity at y = 0 is
+integrable because f''(x/y) decays there faster than y^{alpha-3} grows.
+The rule has fixed nodes, so f'' is evaluated on a whole array of them
+per call, and halving the step reuses every node already evaluated.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
+import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
@@ -51,10 +56,36 @@ __all__ = [
 # switch Gamma-function ratios to log space above this argument
 _LOG_GAMMA_CUTOVER = 30.0
 
+# tanh-sinh abscissae span |t| <= _T_MAX, where y and 1 - y reach
+# e^-140 (~1e-61): beyond, even the slowest integrand the pricer hands in
+# (algebraic in y at the strike) is below round-off, and y^(alpha-2)
+# stays far from overflow.  Only |t| <= _T_CORE (y, 1 - y >= e^-46 ~ 1e-20)
+# is evaluated unless the terms there have not decayed: the nodes past it
+# sit at lam = x/y so large that deep coefficient tables underflow.
+_T_MAX = math.asinh(140.0 / math.pi)
+_T_CORE = math.asinh(46.0 / math.pi)
+# coarsest step of the rule, and the level (halvings of it) the first
+# f_second call reaches: one call then settles most integrands
+_H0 = 0.5
+_FIRST_LEVEL = 3
+# terms left out at either end add up to at most this share of the total
+_TAIL_RTOL = 1e-17
+# a difference this small (relative to int |integrand|) is round-off
+_ROUNDOFF = 64.0 * sys.float_info.epsilon
+# past this many halvings (~2300 new nodes on the last one) a
+# difference that has not settled is not going to settle; more nodes
+# would only cost memory
+_MAX_HALVINGS = 8
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Accuracy knobs shared by every quadrature in the package."""
+    """Accuracy knobs shared by every quadrature in the package.
+
+    max_subdivisions caps the subintervals of SciPy's adaptive ``quad``
+    (mixture, Fourier) and the step halvings of the tanh-sinh rule in
+    ``frac_deriv_quadrature`` (which never takes more than 8).
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -89,19 +120,6 @@ def _check_order(alpha: float) -> None:
         raise ValueError(f"fractional order must satisfy alpha < 1, got {alpha!r}")
 
 
-def _probe_grid() -> tuple[float, ...]:
-    # geometric clusters against y = 0 and y = 1 (peaks hug y = 1 when
-    # f'' decays fast; endpoint weights blow up at both ends) plus a
-    # coarse interior sweep
-    near0 = [10.0 ** (-e) for e in range(1, 11)]
-    near1 = [1.0 - 10.0 ** (-e) for e in range(1, 11)]
-    mid = [i / 16.0 for i in range(2, 15)]
-    return tuple(sorted(set(near0 + near1 + mid)))
-
-
-_PROBE_GRID = _probe_grid()
-
-
 def frac_deriv_exp(alpha: float, lam: float, x: float) -> float:
     """D^alpha applied to e^{-lam t}, evaluated at x:  -lam^alpha e^{-lam x}."""
     _check_order(alpha)
@@ -134,8 +152,24 @@ def frac_deriv_power(alpha: float, beta: float, lam: float) -> float:
     return -ratio * lam ** (-(alpha + beta))
 
 
+def _weighted_terms(f_second, alpha: float, x: float, t: np.ndarray) -> np.ndarray:
+    """Integrand times the tanh-sinh weight at abscissae t: one f_second call.
+
+    y = 1 / (1 + e^{-u}) with u = pi sinh t, so dy/dt = pi cosh t y (1 - y);
+    y and 1 - y come from their logarithms, exact at both ends.
+    """
+    u = math.pi * np.sinh(t)
+    log_y = -np.logaddexp(0.0, -u)
+    log_rest = -np.logaddexp(0.0, u)
+    f2 = np.asarray(f_second(x * (1.0 + np.exp(-u))), dtype=float)
+    weight = math.pi * np.cosh(t) * np.exp(
+        (alpha - 2.0) * log_y + (2.0 - alpha) * log_rest
+    )
+    return weight * f2
+
+
 def frac_deriv_quadrature(
-    f_second: Callable[[float], float],
+    f_second: Callable[[np.ndarray], np.ndarray],
     alpha: float,
     x: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
@@ -144,9 +178,17 @@ def frac_deriv_quadrature(
 
     ``f_second`` must be the exact second derivative of a function whose
     value and slope decay fast enough that the two integrations by parts
-    underlying the reduction carry no boundary terms.  Returns the value
-    and a propagated error estimate; raises QuadratureAccuracyError when
-    the integrator cannot meet ``cfg``.
+    underlying the reduction carry no boundary terms.  It is called on a
+    1-d numpy array of points and must return an array of the same
+    shape: once per level of the rule, on that level's new nodes only.
+
+    The rule is tanh-sinh on (0, 1).  Its step starts at 1/2 and halves
+    until two successive sums differ by at most max(rel_tol |I|,
+    abs_tol int |integrand|), or by no more than round-off; at most
+    min(cfg.max_subdivisions, 8) halvings.  Returns the value and an
+    error estimate: that last difference plus the round-off floor and
+    the truncated tails, so never 0 for a nonzero integrand.  Raises
+    QuadratureAccuracyError when the halvings run out first.
     """
     _check_order(alpha)
     if not (x > 0.0):
@@ -154,41 +196,62 @@ def frac_deriv_quadrature(
 
     prefactor = -(x ** (2.0 - alpha)) / math.gamma(2.0 - alpha)
 
-    def integrand(y: float) -> float:
-        f2 = f_second(x / y)
-        if f2 == 0.0:
-            # y^(alpha-3) may overflow where f'' has underflowed; the
-            # true product is zero there
-            return 0.0
-        return y ** (alpha - 3.0) * (1.0 - y) ** (1.0 - alpha) * f2
+    # the first call covers levels 0.._FIRST_LEVEL at once on |t| <= _T_CORE;
+    # a side whose outermost term is not negligible gets one more call on
+    # the rest of its abscissae out to _T_MAX.  The range is then cut where
+    # the terms left out on either side add up to below _TAIL_RTOL of the
+    # total, keeping one such term per side as the edge for later levels.
+    max_level = min(cfg.max_subdivisions, _MAX_HALVINGS)
+    level = min(_FIRST_LEVEL, max_level)
+    step = _H0 / 2**level
+    k_core, k_max = int(_T_CORE / step), int(_T_MAX / step)
+    k = np.arange(-k_core, k_core + 1)
+    terms = _weighted_terms(f_second, alpha, x, step * k)
+    edge = _TAIL_RTOL * np.abs(terms).sum()
+    outer = [np.arange(-k_max, -k_core)] if abs(terms[0]) > edge else []
+    if abs(terms[-1]) > edge:
+        outer.append(np.arange(k_core + 1, k_max + 1))
+    if outer:
+        k_out = np.concatenate(outer)
+        k = np.concatenate([k, k_out])
+        terms = np.concatenate([terms, _weighted_terms(f_second, alpha, x, step * k_out)])
+        order = np.argsort(k)
+        k, terms = k[order], terms[order]
+    mags = np.abs(terms)
+    lo, hi = 0, len(terms)
+    tail_tol = _TAIL_RTOL * mags.sum()
+    if tail_tol > 0.0:
+        left = int(np.searchsorted(np.cumsum(mags), tail_tol, side="right"))
+        right = int(np.searchsorted(np.cumsum(mags[::-1]), tail_tol, side="right"))
+        lo, hi = max(left - 1, 0), hi - max(right - 1, 0)
+    tail = step * float(mags[:lo].sum() + mags[hi:].sum())
+    terms, mags, k = terms[lo:hi], mags[lo:hi], k[lo:hi]
+    t_lo = step * k[0]
+    intervals = len(k) - 1
 
-    # The integral can sit hundreds of orders of magnitude below 1 (the
-    # integrand carries f''(x/y) ~ e^{-lam x} scales), where an absolute
-    # tolerance would let the integrator stop far short of any relative
-    # accuracy.  Probe the peak on grids clustered at both endpoints and
-    # normalize, so cfg tolerances act relative to the actual scale.
-    scale = 0.0
-    for y in _PROBE_GRID:
-        g = abs(integrand(y))
-        if math.isfinite(g):
-            scale = max(scale, g)
-    if scale == 0.0 or not math.isfinite(scale):
-        scale = 1.0
-
-    res = quad(
-        lambda y: integrand(y) / scale,
-        0.0,
-        1.0,
-        epsabs=cfg.abs_tol,
-        epsrel=cfg.rel_tol,
-        limit=cfg.max_subdivisions,
-        full_output=True,
-    )
-    raw, raw_err = res[0], res[1]
-    value = prefactor * scale * raw
-    err = abs(prefactor) * scale * raw_err
-    if len(res) > 3 or not math.isfinite(value):
-        raise QuadratureAccuracyError(
-            "fractional-derivative quadrature did not converge", value, err
+    total, total_abs = float(terms.sum()), float(mags.sum())
+    prev = 2.0 * step * float(terms[k % 2 == 0].sum())
+    value = step * total
+    while True:
+        diff = abs(value - prev)
+        floor = _ROUNDOFF * step * total_abs + tail
+        if not math.isfinite(value):
+            break
+        if diff <= max(cfg.rel_tol * abs(value), cfg.abs_tol * step * total_abs, floor):
+            return prefactor * value, abs(prefactor) * (diff + floor)
+        if level == max_level:
+            break
+        level += 1
+        step /= 2.0
+        terms = _weighted_terms(
+            f_second, alpha, x, t_lo + step * np.arange(1, 2 * intervals, 2)
         )
-    return value, err
+        intervals *= 2
+        total += float(terms.sum())
+        total_abs += float(np.abs(terms).sum())
+        prev, value = value, step * total
+    raise QuadratureAccuracyError(
+        "fractional-derivative quadrature did not converge",
+        prefactor * value,
+        abs(prefactor) * (diff + floor),
+    )

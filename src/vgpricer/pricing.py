@@ -11,7 +11,9 @@
             * D^{rho-1-n} m^(n)(lam, log S) |_{lam = 1/nu},
 
     which is fully closed-form when rho is a positive integer
-    (D^0 = -identity) and needs one well-behaved quadrature otherwise.
+    (D^0 = -identity) and needs one well-behaved quadrature otherwise:
+    a tanh-sinh rule whose nodes lam0/y go through the coefficient
+    recursion together, one numpy array per level of the rule.
     For rho < 1 the same expression is used with n = 0 and a negative
     order rho - 1.  The fractional derivative splits exactly: the
     power-law terms of m^(n) go through the power rule, the
@@ -186,7 +188,8 @@ def price_put_cgz(
     """Closed-form price via the fractional derivative of the put transform.
 
     Exact (diagnostics None) when t/nu is a positive integer; otherwise
-    one adaptive quadrature on (0, 1) with a propagated error estimate.
+    one tanh-sinh quadrature on (0, 1), vectorised over its nodes, with
+    a propagated error estimate.
     """
     _require_put(spec)
     t0 = time.perf_counter()
@@ -369,35 +372,38 @@ def price_put_fourier(
 
     The damping exponent defaults to 1.5 and falls back over the sweep
     (0.75, 2.5) if the inverted price lands outside no-arbitrage bounds
-    or the moment condition rejects the exponent.
+    or the moment condition rejects the exponent.  When every exponent
+    fails, the error (of the type of the last failure) names each
+    exponent tried and why it was rejected.
     """
     _require_put(spec)
     t0 = time.perf_counter()
     sweep = (damping,) if damping is not None else _DAMPING_SWEEP
     intrinsic = max(spec.strike - spec.spot, 0.0)
     slack = _BOUND_SLACK * max(1.0, spec.strike)
-    last_error: Exception | None = None
+    rejected: list[str] = []
+    last_error: Exception
     for a in sweep:
         if not (a > 0.0) or not _moment_bound_ok(a, params):
-            last_error = ValueError(
-                f"damping exponent {a!r} violates the moment condition"
-            )
-            continue
-        try:
-            call, err = _fourier_call_damped(spec, params, cfg, a)
-        except QuadratureAccuracyError as exc:
-            last_error = exc
-            continue
-        value = call - spec.spot + spec.strike
-        if intrinsic - slack <= value <= spec.strike + slack:
-            value = max(value, 0.0)  # inversion noise may dip a hair below zero
-            return PriceQuote(value, "fourier", err, time.perf_counter() - t0)
-        last_error = ArithmeticError(
-            f"fourier price {value!r} out of bounds at damping {a!r}"
+            last_error = ValueError("violates the moment condition")
+        else:
+            try:
+                call, err = _fourier_call_damped(spec, params, cfg, a)
+            except QuadratureAccuracyError as exc:
+                last_error = exc
+            else:
+                value = call - spec.spot + spec.strike
+                if intrinsic - slack <= value <= spec.strike + slack:
+                    value = max(value, 0.0)  # inversion noise may dip a hair below zero
+                    return PriceQuote(value, "fourier", err, time.perf_counter() - t0)
+                last_error = ArithmeticError(f"price {value!r} out of no-arbitrage bounds")
+        rejected.append(f"damping {a!r}: {last_error}")
+    message = "every damping exponent failed: " + "; ".join(rejected)
+    if isinstance(last_error, QuadratureAccuracyError):
+        raise QuadratureAccuracyError(
+            message, last_error.estimate, last_error.error_estimate
         )
-    raise last_error if last_error is not None else ArithmeticError(
-        "no damping exponent admissible"
-    )
+    raise type(last_error)(message)
 
 
 def fourier_put_ladder(

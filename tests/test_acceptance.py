@@ -10,7 +10,10 @@ its stated tolerance:
   * the fractional-derivative quadrature matches both closed-form rules
     to 1e-7 over a 200-case randomized sweep,
   * the transform solves its pricing ODE and stays C^1 at the strike,
-  * a 10^7-path Monte Carlo run brackets the closed form everywhere.
+  * a 10^7-path Monte Carlo run brackets the closed form everywhere,
+  * the closed form prices a seeded sweep of the whole parameter box,
+    integer and fractional t/nu up to 100, within 1e-9 K of the gamma
+    mixture, and its quadrature error estimate covers that gap.
 """
 
 import math
@@ -40,6 +43,13 @@ from vgpricer.bench import BUILTIN_TABLES, np_seed_for_row
 
 SWEEP_SEED = 20260818
 MC_BASE_SEED = 7
+BOX_SEED = 20261018
+
+# the gated parameter box
+SIGMA_BOX = (0.05, 0.6)
+NU_BOX = (0.05, 1.0)
+RHO_BOX = (0.05, 100.0)  # t/nu
+MONEYNESS_BOX = (0.5, 2.0)  # S/K
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -138,7 +148,7 @@ def test_quadrature_matches_closed_form_rules_across_200_cases():
         lam = float(rng.uniform(0.1, 50.0))
         x = float(rng.uniform(0.02, 10.0))
         got, _ = frac_deriv_quadrature(
-            lambda t: lam * lam * math.exp(-lam * t), alpha, x
+            lambda t: lam * lam * np.exp(-lam * t), alpha, x
         )
         want = frac_deriv_exp(alpha, lam, x)
         worst_exp = max(worst_exp, abs(got - want) / max(abs(want), 1e-300))
@@ -225,4 +235,65 @@ def test_monte_carlo_brackets_closed_form_everywhere():
         worst_z < 3.0 and elapsed < 120.0,
         f"worst |mc - cgz| = {worst_z:.2f} standard errors < 3 "
         f"over {len(rows)} rows in {elapsed:.0f} s < 120 s",
+    )
+
+
+def _box_cases(seed: int, count: int, integers: bool = True):
+    """Seeded (spec, params) draws from the box.  With ``integers`` every
+    other t/nu is an integer in 1..100 (the exact branch), the rest are
+    log-uniform over RHO_BOX (the quadrature branch).  Every fourth row is
+    exactly at the money, where the quadrature's integrand decays slowest."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        sigma = float(rng.uniform(*SIGMA_BOX))
+        nu = float(rng.uniform(*NU_BOX))
+        if integers and i % 2:
+            rho = float(rng.integers(1, int(RHO_BOX[1]) + 1))
+        else:
+            rho = math.exp(rng.uniform(*np.log(RHO_BOX)))
+        moneyness = 1.0 if i % 4 == 0 else math.exp(rng.uniform(*np.log(MONEYNESS_BOX)))
+        strike = 100.0
+        cases.append((OptionSpec(strike * moneyness, strike, rho * nu), VgParams(sigma, nu)))
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_prices_the_whole_box():
+    cases = _box_cases(BOX_SEED, 200)
+    worst = 0.0
+    top_rho = 0.0
+    for spec, params in cases:
+        a = price_put_cgz(spec, params).value  # must not raise or warn
+        b = price_put_mixture(spec, params).value
+        worst = max(worst, abs(a - b) / spec.strike)
+        top_rho = max(top_rho, spec.maturity / params.nu)
+    _report(
+        "cgz over the whole box",
+        worst <= 1e-9,
+        f"max |cgz - mixture| = {worst:.2e} K <= 1e-9 K over {len(cases)} rows, "
+        f"t/nu up to {top_rho:.1f}, no warnings",
+    )
+
+
+def test_closed_form_error_estimate_is_honest():
+    cases = [
+        (_spec_of(row), _params_of(row))
+        for tid in ("T2", "T4", "T5", "T6")
+        for row in builtin_table_rows(tid)
+        if abs(row.maturity / row.nu - round(row.maturity / row.nu)) > 1e-6
+    ]
+    cases += _box_cases(BOX_SEED + 1, 100, integers=False)
+    bad = []
+    for spec, params in cases:
+        c = price_put_cgz(spec, params)
+        m = price_put_mixture(spec, params)
+        slack = c.diagnostics + m.diagnostics + 1e-12 * spec.strike
+        if not (0.0 < c.diagnostics < 1e-6) or abs(c.value - m.value) > slack:
+            bad.append((spec, params, c.value, c.diagnostics, m.value, m.diagnostics))
+    _report(
+        "cgz quadrature error estimate",
+        not bad,
+        f"0 < diagnostics < 1e-6 and |cgz - mixture| <= both diagnostics + 1e-12 K "
+        f"on {len(cases) - len(bad)}/{len(cases)} fractional rows; failures: {bad[:3]}",
     )

@@ -84,9 +84,9 @@ def test_invalid_row_is_reported_not_raised():
 
 
 def test_per_method_failure_leaves_other_methods_alive():
-    # t/nu = 100 exceeds the closed-form level cap; the mixture
+    # t/nu = 102 exceeds the closed-form level cap; the mixture
     # integral has no such ceiling
-    rows = [ScenarioRow("deep", 20.0, 18.0, 20.0, 0.1, 0.2, methods=FAST)]
+    rows = [ScenarioRow("deep", 20.4, 18.0, 20.0, 0.1, 0.2, methods=FAST)]
     report = run_scenarios(rows)
     r = report.rows[0]
     assert "cgz" in r.errors and "ValueError" in r.errors["cgz"]

@@ -97,7 +97,7 @@ def test_power_rule_rejects_bad_arguments():
 
 def _quad_exp(alpha, lam, x, cfg=DEFAULT_QUADRATURE):
     value, _ = frac_deriv_quadrature(
-        lambda t: lam * lam * math.exp(-lam * t), alpha, x, cfg
+        lambda t: lam * lam * np.exp(-lam * t), alpha, x, cfg
     )
     return value
 
@@ -149,13 +149,13 @@ def test_orders_above_one_via_differentiated_integrand():
     # derivative of f', picking up one sign from the inner d/dx
     lam, x = 2.0, 1.5
     value, _ = frac_deriv_quadrature(
-        lambda t: -lam**3 * math.exp(-lam * t), 0.5, x
+        lambda t: -lam**3 * np.exp(-lam * t), 0.5, x
     )
     assert value == pytest.approx(-lam * frac_deriv_exp(0.5, lam, x), rel=1e-9)
     assert value == pytest.approx(lam**1.5 * math.exp(-lam * x), rel=1e-9)
     # two steps: order 2.3 via f'''' and alpha = 0.3
     value2, _ = frac_deriv_quadrature(
-        lambda t: lam**4 * math.exp(-lam * t), 0.3, x
+        lambda t: lam**4 * np.exp(-lam * t), 0.3, x
     )
     assert value2 == pytest.approx(-lam**2.3 * math.exp(-lam * x), rel=1e-9)
 
@@ -164,7 +164,7 @@ def test_quadrature_is_linear():
     lam1, lam2, x, alpha = 1.5, 4.0, 0.9, 0.4
 
     def f2(t):
-        return 2.0 * lam1**2 * math.exp(-lam1 * t) - 3.0 * lam2**2 * math.exp(-lam2 * t)
+        return 2.0 * lam1**2 * np.exp(-lam1 * t) - 3.0 * lam2**2 * np.exp(-lam2 * t)
 
     value, _ = frac_deriv_quadrature(f2, alpha, x)
     want = 2.0 * frac_deriv_exp(alpha, lam1, x) - 3.0 * frac_deriv_exp(alpha, lam2, x)
@@ -173,23 +173,43 @@ def test_quadrature_is_linear():
 
 def test_quadrature_error_estimate_is_honest():
     value, err = frac_deriv_quadrature(
-        lambda t: 4.0 * math.exp(-2.0 * t), 0.5, 1.0
+        lambda t: 4.0 * np.exp(-2.0 * t), 0.5, 1.0
     )
     assert err >= 0.0
     assert abs(value - frac_deriv_exp(0.5, 2.0, 1.0)) <= max(err, 1e-12) * 10.0
+
+
+def test_quadrature_evaluates_arrays_of_new_nodes_only():
+    # one f_second call per level on that level's new nodes; the error
+    # estimate never reads zero
+    calls = []
+
+    def f2(t):
+        calls.append(np.array(t))
+        return 4.0 * np.exp(-2.0 * t)
+
+    value, err = frac_deriv_quadrature(f2, 0.5, 1.0)
+    assert value == pytest.approx(frac_deriv_exp(0.5, 2.0, 1.0), rel=1e-12)
+    assert 0.0 < err < 1e-9 * abs(value)
+    assert 1 <= len(calls) <= 4
+    assert all(c.ndim == 1 and c.size > 1 for c in calls)
+    # nodes within round-off of y = 1 all land on x itself
+    nodes = np.concatenate(calls)
+    inner = nodes[nodes != 1.0]
+    assert len(np.unique(inner)) == len(inner)
 
 
 def test_quadrature_failure_raises_with_diagnostics():
     # one subdivision cannot resolve the endpoint singularities
     cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-16, max_subdivisions=1)
     with pytest.raises(QuadratureAccuracyError) as exc:
-        frac_deriv_quadrature(lambda t: 25.0 * math.exp(-5.0 * t), 0.5, 2.0, cfg)
+        frac_deriv_quadrature(lambda t: 25.0 * np.exp(-5.0 * t), 0.5, 2.0, cfg)
     assert math.isfinite(exc.value.estimate)
     assert exc.value.error_estimate > 0.0
 
 
 def test_quadrature_domain_validation():
-    f2 = lambda t: math.exp(-t)
+    f2 = lambda t: np.exp(-t)
     with pytest.raises(ValueError):
         frac_deriv_quadrature(f2, 1.0, 1.0)  # order must be < 1
     with pytest.raises(ValueError):

@@ -275,6 +275,80 @@ def test_deep_levels_stay_in_double_precision_here():
     assert max(table.c1_residual(n) for n in range(41)) < 1e-9
 
 
+def test_power_law_factor_never_overflows():
+    # (-1)^n n!/lam^(n+1) is a running product: at a huge lam it
+    # underflows towards zero where lam ** (n + 1) used to overflow
+    table = build_coeff_table(1e200, K, P, max_level=laplace.MAX_LEVEL)
+    assert table.power_law[0] == 1e-200
+    assert table.power_law[laplace.MAX_LEVEL] == 0.0
+    assert all(math.isfinite(eval_m(table, n, math.log(18.0))) for n in (0, 50, 100))
+    # and it is the n-th derivative of 1/lam, sign included
+    small = build_coeff_table(0.5, K, P, max_level=5)
+    for n in range(6):
+        want = (-1.0) ** n * math.factorial(n) / 0.5 ** (n + 1)
+        assert small.power_law[n] == pytest.approx(want, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# vectorised tables: one recursion over an array of lam
+
+
+LAMS = np.array([0.3, 5.0, 80.0, 1e4, 1e9])
+
+
+def test_array_table_matches_scalar_tables():
+    # same arithmetic entry by entry; numpy's exp and sqrt may differ
+    # from math's by an ulp, hence the few-ulp tolerance
+    n_max = 8
+    vec = build_coeff_table(LAMS, K, P, max_level=n_max)
+    assert vec.max_level == n_max and not vec.extended.any()
+    for i, lam in enumerate(LAMS):
+        one = build_coeff_table(float(lam), K, P, max_level=n_max)
+        assert vec.roots.theta1[i] == pytest.approx(one.roots.theta1, rel=1e-15)
+        assert vec.roots.theta2[i] == pytest.approx(one.roots.theta2, rel=1e-15)
+        for n in range(n_max + 1):
+            assert vec.power_law[n][i] == pytest.approx(one.power_law[n], rel=1e-15)
+            for got, want in zip(vec.levels_itm[n], one.levels_itm[n]):
+                assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
+            for got, want in zip(vec.levels_otm[n], one.levels_otm[n]):
+                assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
+            assert vec.c1_residual(n)[i] <= 1e-9
+        for x in (math.log(15.0), math.log(20.0), math.log(26.0)):
+            for n in (0, 3, n_max):
+                assert eval_m_exponential_part(vec, n, x)[i] == pytest.approx(
+                    eval_m_exponential_part(one, n, x), rel=1e-14, abs=1e-300
+                )
+                assert eval_m(vec, n, x)[i] == pytest.approx(
+                    eval_m(one, n, x), rel=1e-14, abs=1e-300
+                )
+
+
+def test_array_table_rebuilds_only_the_nodes_that_fail(monkeypatch):
+    # report a C^1 failure at the second and fourth lam only
+    flagged = np.array([False, True, False, True, False])
+    plain = build_coeff_table(LAMS, K, P, max_level=3)
+    monkeypatch.setattr(
+        laplace.CoeffTable, "c1_residual", lambda self, n: np.where(flagged, 1.0, 0.0)
+    )
+    table = build_coeff_table(LAMS, K, P, max_level=3)
+    monkeypatch.undo()
+    assert (table.extended == flagged).all()
+    for n in range(4):
+        for got, want in zip(table.levels_itm[n], plain.levels_itm[n]):
+            assert (got[~flagged] == want[~flagged]).all()
+            assert got[flagged] == pytest.approx(want[flagged], rel=1e-12)
+        assert table.power_law[n] == pytest.approx(plain.power_law[n], rel=1e-14)
+
+
+def test_array_lam_validation():
+    with pytest.raises(ValueError):
+        build_coeff_table(np.array([1.0, 0.0]), K, P)
+    with pytest.raises(ValueError):
+        build_coeff_table(np.array([1.0, np.inf]), K, P)
+    with pytest.raises(ValueError):
+        build_coeff_table(np.ones((2, 2)), K, P)
+
+
 def test_extended_precision_backend_agrees_with_floats():
     import mpmath
 

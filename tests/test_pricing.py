@@ -267,6 +267,16 @@ def test_fourier_explicit_damping_and_moment_bound():
         price_put_fourier(_spec(18.0, 20.0, 0.5), bad, damping=10.0)
 
 
+def test_fourier_failure_names_every_damping_exponent():
+    # nu sigma^2 = 2 leaves no exponent of the sweep inside the moment bound
+    with pytest.raises(ValueError) as exc:
+        price_put_fourier(_spec(18.0, 20.0, 1.0), make_vg_params(1.0, 2.0))
+    message = str(exc.value)
+    for a in (1.5, 0.75, 2.5):
+        assert f"damping {a!r}: violates the moment condition" in message
+    assert message.index("1.5") < message.index("0.75") < message.index("2.5")
+
+
 def test_fourier_ladder_brackets_single_strike_prices():
     strikes, puts = fourier_put_ladder(18.0, 0.5, P1)
     assert strikes.shape == puts.shape == (4096,)
