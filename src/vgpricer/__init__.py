@@ -18,7 +18,6 @@ from .laplace import (
     MAX_LEVEL,
     CoeffTable,
     ThetaRoots,
-    base_level,
     build_coeff_table,
     eval_m,
     eval_m_dx,
@@ -70,7 +69,6 @@ __all__ = [
     "MAX_LEVEL",
     "CoeffTable",
     "ThetaRoots",
-    "base_level",
     "build_coeff_table",
     "eval_m",
     "eval_m_dx",

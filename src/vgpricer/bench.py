@@ -10,9 +10,11 @@ reference prices quoted to 4 decimals.
 ``run_scenarios`` prices rows with any subset of methods, captures
 per-row errors instead of aborting the run, and reports the median
 wall time per method (a warm-up call is excluded whenever more than
-one repetition is requested).  ``emit_report`` renders a report as
-aligned text, CSV (fixed header: table,t,S,K,sigma,nu,method,price,
-expected,abs_diff,elapsed_ns), or JSON.  Identical configuration and
+one repetition is requested).  Its integer-t/nu ``cgz`` rows share one
+coefficient table per (strike, sigma, nu), extended level by level as
+the rows need it, for the length of one call.  ``emit_report`` renders
+a report as aligned text, CSV (fixed header: table,t,S,K,sigma,nu,
+method,price,expected,abs_diff,elapsed_ns), or JSON.  Identical configuration and
 seeds give byte-identical CSV except for the elapsed_ns column.
 """
 
@@ -229,9 +231,18 @@ def run_scenarios(
     warm-up call runs first and is discarded.  Monte Carlo rows derive
     their seed from (seed, row index) so runs are reproducible however
     the rows are batched.
+
+    The ``cgz`` calls of one run share a memo of coefficient tables (see
+    ``price_put_cgz``): an integer-t/nu row extends the table of its
+    (strike, sigma, nu) from the deepest level an earlier row built,
+    with the same prices as unshared calls.  Each repetition of a row
+    starts from the memo as it stood before that row, so the timing
+    covers the row's own share of the recursion.  The memo lives for
+    this call only.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    tables: dict = {}
     results: list[RowResult] = []
     for idx, row in enumerate(rows):
         res = RowResult(scenario=row)
@@ -248,7 +259,7 @@ def run_scenarios(
         for method in row.methods:
             try:
                 quote, elapsed = _timed_call(
-                    method, spec, params, cfg, row_seed, mc_paths, repetitions
+                    method, spec, params, cfg, row_seed, mc_paths, repetitions, tables
                 )
             except (ValueError, ArithmeticError, RuntimeError) as exc:
                 res.errors[method] = f"{type(exc).__name__}: {exc}"
@@ -265,10 +276,16 @@ def np_seed_for_row(seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([seed, row_index]).generate_state(1)[0])
 
 
-def _timed_call(method, spec, params, cfg, seed, mc_paths, repetitions):
+def _timed_call(method, spec, params, cfg, seed, mc_paths, repetitions, tables):
+    memo: dict = {}  # the cgz tables as this row's last repetition left them
     if method == "mc":
         mc_cfg = McConfig(path_count=mc_paths, seed=seed)
         call = lambda: price_put_mc(spec, params, mc_cfg)  # noqa: E731
+    elif method == "cgz":
+        def call():
+            memo.clear()
+            memo.update(tables)
+            return _PRICERS["cgz"](spec, params, cfg, tables=memo)
     else:
         pricer = _PRICERS[method]
         call = lambda: pricer(spec, params, cfg)  # noqa: E731
@@ -280,6 +297,7 @@ def _timed_call(method, spec, params, cfg, seed, mc_paths, repetitions):
         t0 = time.perf_counter()
         quote = call()
         times.append(time.perf_counter() - t0)
+    tables.update(memo)
     return quote, statistics.median(times)
 
 

@@ -60,6 +60,14 @@ overflowing in lam^{n+1}.  If the C^1 slope residual of a freshly built
 level exceeds 1e-9 relative (deep factorial cancellation at high
 levels), the stack is rebuilt in extended precision via mpmath, for
 each offending lam separately, and flagged in ``extended``.
+
+Level n only needs level n-1, so a table is extended incrementally:
+``extend_to_level`` continues the recursion from a table's top level
+and C^1-checks the new levels only, giving the same table a fresh build
+to that level would.  At integer t/nu the price needs one level of the
+table at lam = 1/nu, so one table per (strike, sigma, nu) is shared and
+extended across the integer-t/nu ``cgz`` rows of one
+``bench.run_scenarios`` call.
 """
 
 from __future__ import annotations
@@ -76,7 +84,6 @@ __all__ = [
     "CoeffTable",
     "MAX_LEVEL",
     "theta_roots",
-    "base_level",
     "extend_to_level",
     "build_coeff_table",
     "eval_m",
@@ -197,18 +204,15 @@ def _next_tail(prev, jw, sig2, n):
     return cur
 
 
-def _power_law(lam, max_n: int) -> list:
-    """(-1)^n n! / lam^(n+1) for n = 0..max_n as a running product, so no
-    lam^(n+1) can overflow; generic over float / numpy array / mpmath."""
-    powers = [1.0 / lam]
-    for n in range(1, max_n + 1):
-        powers.append(powers[-1] * -n / lam)
-    return powers
+def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None, base=None):
+    """Coefficients and power-law factors of both branches up to level
+    max_n; generic over float / numpy array / mpmath.
 
-
-def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None):
-    """Levels 0..max_n of both branches; generic over float / numpy
-    array / mpmath."""
+    Starts at level 0, or, given the float table ``base``, continues the
+    recursion from its top level and returns only the levels above it.
+    The power-law factor (-1)^n n!/lam^(n+1) is a running product, so no
+    lam^(n+1) can overflow.  Returns (th1, th2, levels1, levels2, powers).
+    """
     if mp_ctx is None:
         mu = params.mu
         sig2 = params.sigma * params.sigma
@@ -219,9 +223,16 @@ def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None):
         sig2 = mp_ctx.mpf(params.sigma) ** 2
         lam_ = mp_ctx.mpf(lam)
         strike_ = mp_ctx.mpf(strike)
-    disc = (mu * mu + 2.0 * lam_ * sig2) ** 0.5
-    th1 = (-mu + disc) / sig2
-    th2 = (-mu - disc) / sig2
+    if base is None:
+        disc = (mu * mu + 2.0 * lam_ * sig2) ** 0.5
+        th1 = (-mu + disc) / sig2
+        th2 = (-mu - disc) / sig2
+        first, prev1, prev2, power = 0, None, None, None
+    else:
+        th1, th2 = base.roots.theta1, base.roots.theta2
+        first = base.max_level + 1
+        prev1, prev2 = base.levels_itm[-1], base.levels_otm[-1]
+        power = base.power_law[-1]
     w1 = mu + sig2 * th1  # = +disc
     w2 = mu + sig2 * th2  # = -disc
     if isinstance(w1, np.ndarray):
@@ -233,34 +244,37 @@ def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None):
         raise ArithmeticError("degenerate characteristic roots: mu + sigma^2 theta = 0")
     jw1 = [j * w1 for j in range(max_n + 1)]
     jw2 = [j * w2 for j in range(max_n + 1)]
-    powers = _power_law(lam_, max_n)
 
     levels1: list[list] = []
     levels2: list[list] = []
-    for n in range(max_n + 1):
+    powers: list = []
+    for n in range(first, max_n + 1):
         if n == 0:
+            power = 1.0 / lam_
             a0 = strike_ / (lam_ * (th1 - th2))
             cur1, cur2 = [a0], [a0]
         else:
-            cur1 = _next_tail(levels1[n - 1], jw1, sig2, n)
-            cur2 = _next_tail(levels2[n - 1], jw2, sig2, n)
-            a = (cur2[1] - cur1[1] + powers[n] * strike_) / (th1 - th2)
+            power = power * -n / lam_
+            cur1 = _next_tail(prev1, jw1, sig2, n)
+            cur2 = _next_tail(prev2, jw2, sig2, n)
+            a = (cur2[1] - cur1[1] + power * strike_) / (th1 - th2)
             cur1[0] = a
             cur2[0] = a
         levels1.append(cur1)
         levels2.append(cur2)
-    return th1, th2, levels1, levels2
+        powers.append(power)
+        prev1, prev2 = cur1, cur2
+    return th1, th2, levels1, levels2, powers
 
 
 def _extended_levels(lam: float, strike: float, params: VgParams, max_n: int):
-    """_build_levels at _MP_DPS digits, rounded back to floats."""
+    """_build_levels from level 0 at _MP_DPS digits, rounded back to floats."""
     import mpmath
 
     with mpmath.workdps(_MP_DPS):
-        th1, th2, lv1, lv2 = _build_levels(
+        th1, th2, lv1, lv2, pw = _build_levels(
             lam, strike, params, max_n, mp_ctx=mpmath
         )
-        pw = _power_law(mpmath.mpf(lam), max_n)
         return (
             float(th1),
             float(th2),
@@ -278,6 +292,77 @@ def _check_lam(lam) -> None:
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
 
+def _check_level(n: int) -> None:
+    if not 0 <= n <= MAX_LEVEL:
+        raise ValueError(f"level must be between 0 and {MAX_LEVEL}, got {n}")
+
+
+def _table(lam, strike: float, params: VgParams, built, extended, base=None) -> CoeffTable:
+    """CoeffTable from _build_levels output, its levels appended to those
+    of ``base`` (tuple concatenation: the old levels are not copied)."""
+    th1, th2, lv1, lv2, pw = built
+    return CoeffTable(
+        lam=lam,
+        strike=strike,
+        params=params,
+        roots=ThetaRoots(th1, th2),
+        levels_itm=(base.levels_itm if base else ()) + tuple(tuple(c) for c in lv1),
+        levels_otm=(base.levels_otm if base else ()) + tuple(tuple(c) for c in lv2),
+        power_law=(base.power_law if base else ()) + tuple(pw),
+        extended=extended,
+    )
+
+
+def _grow(lam, strike: float, params: VgParams, max_level: int, base=None) -> CoeffTable:
+    """Levels 0..max_level at lam: built from level 0, or the float
+    recursion continued from the top level of ``base``.
+
+    Only the new levels go through the C^1 check, since the levels of
+    ``base`` passed it when they were built.  A lam that fails it at
+    any level, or that ``base`` already flags as ``extended``, is
+    rebuilt from level 0 in mpmath, exactly as a fresh build would.
+    """
+    if base is None:
+        first = 0
+        extended = np.zeros(lam.shape, dtype=bool) if isinstance(lam, np.ndarray) else False
+    else:
+        first = base.max_level + 1
+        extended = base.extended
+    built = _build_levels(lam, strike, params, max_level, base=base)
+    plain = _table(lam, strike, params, built, extended, base)
+    new_levels = range(first, max_level + 1)
+
+    if not isinstance(lam, np.ndarray):
+        if not extended and all(plain.c1_residual(n) <= _C1_RTOL for n in new_levels):
+            return plain
+        # factorial cancellation broke double precision; redo in mpmath once
+        built = _extended_levels(lam, strike, params, max_level)
+        return _table(lam, strike, params, built, extended=True)
+
+    ok = ~extended
+    for n in new_levels:
+        ok &= plain.c1_residual(n) <= _C1_RTOL
+    if ok.all():
+        return plain
+    # copy every array before writing the rebuilt nodes into it: the
+    # roots and lower levels may be shared with ``base``
+    th1, th2 = plain.roots.theta1.copy(), plain.roots.theta2.copy()
+    lv1 = [[c.copy() for c in cs] for cs in plain.levels_itm]
+    lv2 = [[c.copy() for c in cs] for cs in plain.levels_otm]
+    pw = [p.copy() for p in plain.power_law]
+    for i in np.flatnonzero(~ok):
+        e_th1, e_th2, e_lv1, e_lv2, e_pw = _extended_levels(
+            float(lam[i]), strike, params, max_level
+        )
+        th1[i], th2[i] = e_th1, e_th2
+        for n in range(max_level + 1):
+            pw[n][i] = e_pw[n]
+            for k in range(n + 1):
+                lv1[n][k][i] = e_lv1[n][k]
+                lv2[n][k][i] = e_lv2[n][k]
+    return _table(lam, strike, params, (th1, th2, lv1, lv2, pw), extended=~ok)
+
+
 def build_coeff_table(lam, strike: float, params: VgParams, max_level: int = 0) -> CoeffTable:
     """Build the coefficient table for levels 0..max_level at this lam.
 
@@ -289,65 +374,25 @@ def build_coeff_table(lam, strike: float, params: VgParams, max_level: int = 0) 
     _check_lam(lam)
     if not (strike > 0.0) or not math.isfinite(strike):
         raise ValueError(f"strike must be positive and finite, got {strike!r}")
-    if not 0 <= max_level <= MAX_LEVEL:
-        raise ValueError(
-            f"level must be between 0 and {MAX_LEVEL}, got {max_level}"
-        )
-
-    def table(th1, th2, lv1, lv2, pw, extended):
-        return CoeffTable(
-            lam=lam,
-            strike=strike,
-            params=params,
-            roots=ThetaRoots(th1, th2),
-            levels_itm=tuple(tuple(c) for c in lv1),
-            levels_otm=tuple(tuple(c) for c in lv2),
-            power_law=tuple(pw),
-            extended=extended,
-        )
-
-    built = _build_levels(lam, strike, params, max_level) + (_power_law(lam, max_level),)
-    if not isinstance(lam, np.ndarray):
-        plain = table(*built, extended=False)
-        if all(plain.c1_residual(n) <= _C1_RTOL for n in range(max_level + 1)):
-            return plain
-        # factorial cancellation broke double precision; redo in mpmath once
-        return table(*_extended_levels(lam, strike, params, max_level), extended=True)
-
-    ok = np.ones(lam.shape, dtype=bool)
-    plain = table(*built, extended=~ok)
-    for n in range(max_level + 1):
-        ok &= plain.c1_residual(n) <= _C1_RTOL
-    if ok.all():
-        return plain
-    th1, th2, lv1, lv2, pw = built
-    # every coefficient is a fresh array except the constant shared by
-    # both branches, so writing each node in place is safe
-    for i in np.flatnonzero(~ok):
-        e_th1, e_th2, e_lv1, e_lv2, e_pw = _extended_levels(
-            float(lam[i]), strike, params, max_level
-        )
-        th1[i], th2[i] = e_th1, e_th2
-        for n in range(max_level + 1):
-            pw[n][i] = e_pw[n]
-            for k in range(n + 1):
-                lv1[n][k][i] = e_lv1[n][k]
-                lv2[n][k][i] = e_lv2[n][k]
-    return table(th1, th2, lv1, lv2, pw, extended=~ok)
-
-
-def base_level(lam: float, strike: float, params: VgParams) -> CoeffTable:
-    """Table holding level 0 only: the transform m itself."""
-    return build_coeff_table(lam, strike, params, max_level=0)
+    _check_level(max_level)
+    return _grow(lam, strike, params, max_level)
 
 
 def extend_to_level(table: CoeffTable, n: int) -> CoeffTable:
-    """Return a table holding levels 0..n (a new object; input unchanged)."""
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
+    """Return a table holding levels 0..n.
+
+    ``table`` itself when it already holds level n; otherwise a new
+    table that continues the recursion from ``table``'s top level, so
+    the cost is that of the new levels only.  The result is
+    bit-identical to ``build_coeff_table(table.lam, table.strike,
+    table.params, n)``, mpmath fallback included.  This is how one
+    table per (strike, sigma, nu) serves every integer-t/nu ``cgz`` row
+    that shares it.
+    """
+    _check_level(n)
     if n <= table.max_level:
         return table
-    return build_coeff_table(table.lam, table.strike, table.params, max_level=n)
+    return _grow(table.lam, table.strike, table.params, n, base=table)
 
 
 def _horner(coeffs, z: float):

@@ -52,7 +52,12 @@ from .fracderiv import (
     frac_deriv_power,
     frac_deriv_quadrature,
 )
-from .laplace import build_coeff_table, eval_m, eval_m_exponential_part
+from .laplace import (
+    build_coeff_table,
+    eval_m,
+    eval_m_exponential_part,
+    extend_to_level,
+)
 from .model import OptionSpec, VgParams
 
 __all__ = [
@@ -184,12 +189,24 @@ def price_put_cgz(
     spec: OptionSpec,
     params: VgParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    *,
+    tables: dict | None = None,
 ) -> PriceQuote:
     """Closed-form price via the fractional derivative of the put transform.
 
     Exact (diagnostics None) when t/nu is a positive integer; otherwise
     one tanh-sinh quadrature on (0, 1), vectorised over its nodes, with
     a propagated error estimate.
+
+    ``tables`` is an optional memo owned by the caller, keyed by
+    (strike, params).  At integer t/nu the price reads one level of the
+    coefficient table at lam = 1/nu, so calls that share a memo share
+    one table per (strike, sigma, nu): it is extended to the level a
+    call needs when too shallow, and stored back.  The price is the same
+    as without the memo.  Only double-precision tables are stored: a
+    table rebuilt in mpmath for a high level would change the lower
+    levels, which a fresh build computes in floats.  The fractional
+    branch does not use the memo.
     """
     _require_put(spec)
     t0 = time.perf_counter()
@@ -203,7 +220,14 @@ def price_put_cgz(
     k = round(rho)
     if k >= 1 and abs(rho - k) <= _INTEGER_RTOL * max(1.0, rho):
         n = k - 1
-        table = build_coeff_table(lam0, strike, params, max_level=n)
+        memo = {} if tables is None else tables
+        table = memo.get((strike, params))
+        if table is None:
+            table = build_coeff_table(lam0, strike, params, max_level=n)
+        else:
+            table = extend_to_level(table, n)
+        if not table.extended:
+            memo[(strike, params)] = table
         value = math.exp(log_pref) * (-1.0) ** n * eval_m(table, n, x)
         diag = None
     else:

@@ -26,7 +26,6 @@ from vgpricer import (
     McConfig,
     OptionSpec,
     VgParams,
-    base_level,
     build_coeff_table,
     builtin_table_rows,
     eval_m,

@@ -3,9 +3,20 @@
 import csv
 import io
 import json
+import random
+import time
 
 import pytest
 
+import vgpricer.laplace as laplace
+import vgpricer.pricing as pricing
+from vgpricer import (
+    OptionSpec,
+    VgParams,
+    build_coeff_table,
+    extend_to_level,
+    price_put_cgz,
+)
 from vgpricer.bench import (
     BUILTIN_TABLES,
     CSV_HEADER,
@@ -120,6 +131,122 @@ def test_repetitions_report_median_timing():
     assert q.elapsed > 0.0
     with pytest.raises(ValueError):
         run_scenarios(rows, repetitions=0)
+
+
+# ---------------------------------------------------------------------------
+# coefficient tables shared across the integer-t/nu cgz rows of one run
+
+# levels n (t/nu = n + 1), ascending
+LEVELS = [0, 1, 2, 5, 9, 17, 30, 31, 47, 63, 80]
+STRIKES = (20.0, 26.0)
+VOLS = ((0.1, 0.2), (0.35, 0.6))  # (sigma, nu)
+
+
+def _ladder(levels):
+    """cgz rows at each level for two strikes times two (sigma, nu),
+    the four contracts interleaved."""
+    return [
+        ScenarioRow("share", (n + 1) * nu, 22.0, strike, sigma, nu, methods=("cgz",))
+        for n in levels
+        for strike in STRIKES
+        for sigma, nu in VOLS
+    ]
+
+
+def _bits(quote):
+    diag = quote.diagnostics
+    return quote.value.hex(), None if diag is None else diag.hex()
+
+
+def _separately(rows):
+    return [
+        _bits(price_put_cgz(OptionSpec(r.spot, r.strike, r.maturity), VgParams(r.sigma, r.nu)))
+        for r in rows
+    ]
+
+
+def _shared(rows):
+    report = run_scenarios(rows)
+    assert report.error_count == 0
+    return [_bits(r.quotes["cgz"]) for r in report.rows]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_shared_tables_price_like_separate_calls(order):
+    levels = list(LEVELS)
+    if order == "descending":
+        levels.reverse()
+    elif order == "shuffled":
+        random.Random(5).shuffle(levels)
+    rows = _ladder(levels)
+    # a fractional row in the middle leaves the shared tables alone
+    rows.insert(len(rows) // 2, ScenarioRow("frac", 2.5 * 0.2, 22.0, 20.0, 0.1, 0.2, ("cgz",)))
+    assert _shared(rows) == _separately(rows)
+
+
+def test_shared_tables_price_like_separate_calls_across_the_mpmath_fallback(monkeypatch):
+    # every level from 12 up fails the C^1 check, so rows there price
+    # from mpmath tables and rows below from float ones, in any order
+    real = laplace.CoeffTable.c1_residual
+    monkeypatch.setattr(
+        laplace.CoeffTable, "c1_residual", lambda self, n: 1.0 if n >= 12 else real(self, n)
+    )
+    rows = _ladder([20, 3, 13, 11, 25, 0])
+    assert _shared(rows) == _separately(rows)
+
+
+def test_row_past_the_level_cap_fails_alone_mid_ladder():
+    rows = _ladder([3, 40, 101, 50, 20, 70])
+    report = run_scenarios(rows)
+    failed = [r for r in report.rows if r.errors]
+    assert [round(r.scenario.maturity / r.scenario.nu) for r in failed] == [102] * 4
+    assert all(r.errors["cgz"].startswith("ValueError: level must be") for r in failed)
+    priced = [r for r in report.rows if not r.errors]
+    assert [_bits(r.quotes["cgz"]) for r in priced] == _separately([r.scenario for r in priced])
+
+
+def test_runs_share_no_tables(monkeypatch):
+    builds = []
+    real = pricing.build_coeff_table
+
+    def counting(*args, **kwargs):
+        builds.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pricing, "build_coeff_table", counting)
+    rows = _ladder([2, 9, 4])
+    first = _shared(rows)
+    assert len(builds) == len(set(builds)) == 4  # one build per (strike, sigma, nu)
+    second = _shared(rows)
+    assert builds[4:] == builds[:4]  # the second run starts from nothing
+    assert first == second
+
+
+def test_repetitions_time_each_rows_own_extension():
+    # a warm-up that filled the shared tables would leave the timed calls
+    # only a table lookup, under 1/15 of the extension on the long rows;
+    # each repetition must redo the row's own share.  The factor 1/4
+    # absorbs machine speed drifting between the two measurements.
+    params = VgParams(0.1, 0.2)
+    rows = builtin_table_rows("T1", methods=("cgz",)) + [
+        ScenarioRow("T1", (n + 1) * 0.2, 18.0, 20.0, 0.1, 0.2, ("cgz",))
+        for n in (20, 40, 60, 80)
+    ]
+    report = run_scenarios(rows, repetitions=3)
+    prev = None
+    for r in report.rows:
+        n = round(r.scenario.maturity / 0.2) - 1
+        base = None if prev is None else build_coeff_table(5.0, 20.0, params, max_level=prev)
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            if base is None:
+                build_coeff_table(5.0, 20.0, params, max_level=n)
+            else:
+                extend_to_level(base, n)
+            times.append(time.perf_counter() - t0)
+        assert r.quotes["cgz"].elapsed >= 0.25 * min(times)
+        prev = n
 
 
 # ---------------------------------------------------------------------------

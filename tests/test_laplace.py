@@ -17,7 +17,6 @@ from scipy.stats import norm
 import vgpricer.laplace as laplace
 from vgpricer import (
     VgParams,
-    base_level,
     build_coeff_table,
     eval_m,
     eval_m_dx,
@@ -90,7 +89,7 @@ def test_theta_roots_domain():
 
 
 def test_transform_matches_laplace_oracle_itm():
-    table = base_level(LAM, K, P)
+    table = build_coeff_table(LAM, K, P, max_level=0)
     got = eval_m(table, 0, math.log(18.0))
     assert got == pytest.approx(M_AT_LN18, rel=1e-12)
     oracle, _ = quad(lambda s: _bs_put(math.log(18.0), K, s) * math.exp(-LAM * s),
@@ -99,7 +98,7 @@ def test_transform_matches_laplace_oracle_itm():
 
 
 def test_transform_matches_laplace_oracle_otm():
-    table = base_level(LAM, K, P)
+    table = build_coeff_table(LAM, K, P, max_level=0)
     x = math.log(22.0)
     got = eval_m(table, 0, x)
     oracle, _ = quad(lambda s: _bs_put(x, K, s) * math.exp(-LAM * s),
@@ -108,21 +107,21 @@ def test_transform_matches_laplace_oracle_otm():
 
 
 def test_transform_limits():
-    table = base_level(LAM, K, P)
+    table = build_coeff_table(LAM, K, P, max_level=0)
     deep_itm = eval_m(table, 0, math.log(K) - 40.0)
     assert deep_itm == pytest.approx(K / LAM, rel=1e-12)
     assert eval_m(table, 0, math.log(K) + 30.0) < 1e-12
 
 
 def test_transform_scale_bounds():
-    table = base_level(LAM, K, P)
+    table = build_coeff_table(LAM, K, P, max_level=0)
     for x in np.linspace(math.log(5.0), math.log(60.0), 41):
         m = eval_m(table, 0, float(x))
         assert 0.0 <= m <= K / LAM + 1e-15
 
 
 def test_exponential_part_reference_values():
-    table = base_level(LAM, K, P)
+    table = build_coeff_table(LAM, K, P, max_level=0)
     got = eval_m_exponential_part(table, 0, math.log(18.0))
     assert got == pytest.approx(M_EXP_PART_LN18, rel=1e-12)
     # ITM: exponential part = full transform minus power-law terms
@@ -139,7 +138,7 @@ def test_exponential_part_superpolynomial_decay_in_lam():
     x = math.log(18.0)
     vals = []
     for lam in (1e2, 1e3, 1e4):
-        t = base_level(lam, K, P)
+        t = build_coeff_table(lam, K, P, max_level=0)
         vals.append(abs(eval_m_exponential_part(t, 0, x)))
     assert vals[1] < vals[0] * (1e2 / 1e3) ** 6
     assert vals[2] < vals[1] * (1e3 / 1e4) ** 6
@@ -211,7 +210,7 @@ def _second_dx(table, n, x):
 
 def test_transform_solves_the_pricing_ode():
     # lam m - (K - e^x)^+ = mu m' + (sigma^2/2) m'' pointwise, both branches
-    table = base_level(LAM, K, P)
+    table = build_coeff_table(LAM, K, P, max_level=0)
     worst = 0.0
     for x in np.linspace(math.log(10.0), math.log(40.0), 50):
         x = float(x)
@@ -240,7 +239,7 @@ def test_strike_point_belongs_to_itm_branch_and_branches_agree():
 
 
 def test_extend_returns_new_table_and_preserves_prefix():
-    t0 = base_level(LAM, K, P)
+    t0 = build_coeff_table(LAM, K, P, max_level=0)
     t3 = extend_to_level(t0, 3)
     assert t0.max_level == 0 and t3.max_level == 3
     assert t3.levels_itm[0] == t0.levels_itm[0]
@@ -248,7 +247,7 @@ def test_extend_returns_new_table_and_preserves_prefix():
 
 
 def test_level_access_requires_built_level():
-    t0 = base_level(LAM, K, P)
+    t0 = build_coeff_table(LAM, K, P, max_level=0)
     with pytest.raises(ValueError):
         eval_m(t0, 1, math.log(18.0))
     with pytest.raises(ValueError):
@@ -353,7 +352,7 @@ def test_extended_precision_backend_agrees_with_floats():
     import mpmath
 
     with mpmath.workdps(60):
-        th1, th2, lv1, lv2 = laplace._build_levels(LAM, K, P, 6, mp_ctx=mpmath)
+        th1, th2, lv1, lv2, _ = laplace._build_levels(LAM, K, P, 6, mp_ctx=mpmath)
     flt = build_coeff_table(LAM, K, P, max_level=6)
     assert float(th1) == pytest.approx(flt.roots.theta1, rel=1e-14)
     for n in range(7):
@@ -374,3 +373,94 @@ def test_extended_precision_fallback_is_flagged(monkeypatch):
     for n in range(3):
         for a, b in zip(table.levels_itm[n], ref.levels_itm[n]):
             assert a == pytest.approx(b, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# incremental extension: continue the recursion from a table's top level
+
+
+def _bits(table):
+    """Everything a table holds, with every number as raw float64 bytes,
+    so equal means bit-identical rather than ==."""
+    numbers = [table.roots.theta1, table.roots.theta2, *table.power_law]
+    numbers += [c for lv in table.levels_itm + table.levels_otm for c in lv]
+    raw = b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in numbers)
+    return table.max_level, np.asarray(table.extended).tobytes(), raw
+
+
+@pytest.mark.parametrize("sigma,nu,strike", [(0.1, 0.2, 20.0), (0.45, 0.07, 130.0), (0.6, 1.0, 55.0)])
+def test_extension_is_bit_identical_to_a_fresh_build(sigma, nu, strike):
+    params = VgParams(sigma=sigma, nu=nu)
+    lam = 1.0 / nu
+    top = laplace.MAX_LEVEL
+    for a, b in [(0, 1), (0, 7), (3, 4), (5, 40), (39, 63), (63, top), (0, top)]:
+        base = build_coeff_table(lam, strike, params, max_level=a)
+        before = _bits(base)
+        grown = extend_to_level(base, b)
+        assert _bits(grown) == _bits(build_coeff_table(lam, strike, params, max_level=b))
+        assert _bits(base) == before  # the input table is left as it was
+    # a chain of single-level steps ends where one long step does
+    chain = build_coeff_table(lam, strike, params, max_level=0)
+    for n in range(1, 21):
+        chain = extend_to_level(chain, n)
+    assert _bits(chain) == _bits(build_coeff_table(lam, strike, params, max_level=20))
+
+
+def test_extension_past_the_level_cap_raises_like_a_build():
+    cap = laplace.MAX_LEVEL
+    with pytest.raises(ValueError) as built:
+        build_coeff_table(LAM, K, P, max_level=cap + 1)
+    with pytest.raises(ValueError) as grown:
+        extend_to_level(build_coeff_table(LAM, K, P, max_level=3), cap + 1)
+    assert str(grown.value) == str(built.value)
+    with pytest.raises(ValueError):
+        extend_to_level(build_coeff_table(LAM, K, P, max_level=3), -1)
+
+
+def test_extension_whose_new_level_trips_the_c1_check_falls_back_like_a_build(monkeypatch):
+    # pick a tolerance that levels 0..a meet and some level in a+1..b does
+    # not, so the trip happens on a level the extension adds
+    a, b = 4, 8
+    residuals = [build_coeff_table(LAM, K, P, max_level=b).c1_residual(n) for n in range(b + 1)]
+    tol = max(residuals[: a + 1])
+    assert max(residuals[a + 1:]) > tol
+    base = build_coeff_table(LAM, K, P, max_level=a)
+    monkeypatch.setattr(laplace, "_C1_RTOL", tol)
+    assert not build_coeff_table(LAM, K, P, max_level=a).extended
+    grown = extend_to_level(base, b)
+    fresh = build_coeff_table(LAM, K, P, max_level=b)
+    assert grown.extended is True and fresh.extended is True
+    assert _bits(grown) == _bits(fresh)
+    # extending an mpmath table rebuilds it in mpmath, as a build does
+    assert _bits(extend_to_level(grown, b + 3)) == _bits(
+        build_coeff_table(LAM, K, P, max_level=b + 3)
+    )
+
+
+def test_array_tables_extend_like_fresh_builds(monkeypatch):
+    for a, b in [(0, 3), (2, 9), (8, 30)]:
+        base = build_coeff_table(LAMS, K, P, max_level=a)
+        before = _bits(base)
+        grown = extend_to_level(base, b)
+        assert _bits(grown) == _bits(build_coeff_table(LAMS, K, P, max_level=b))
+        assert _bits(base) == before
+    # a C^1 failure on a new level only, at the second and fourth lam: those
+    # nodes are rebuilt in mpmath without writing into the base table
+    a, b = 2, 5
+    flagged = np.array([False, True, False, True, False])
+    base = build_coeff_table(LAMS, K, P, max_level=a)
+    before = _bits(base)
+    monkeypatch.setattr(
+        laplace.CoeffTable, "c1_residual",
+        lambda self, n: np.where(flagged & (n > a), 1.0, 0.0),
+    )
+    grown = extend_to_level(base, b)
+    fresh = build_coeff_table(LAMS, K, P, max_level=b)
+    # extending that table again rebuilds the flagged nodes in mpmath
+    regrown = extend_to_level(grown, b + 2)
+    refresh = build_coeff_table(LAMS, K, P, max_level=b + 2)
+    monkeypatch.undo()
+    assert (grown.extended == flagged).all()
+    assert _bits(grown) == _bits(fresh)
+    assert _bits(regrown) == _bits(refresh)
+    assert _bits(base) == before
