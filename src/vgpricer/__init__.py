@@ -23,6 +23,7 @@ from .laplace import (
     eval_m_dx,
     eval_m_exponential_part,
     extend_to_level,
+    log_bessel_series,
     theta_roots,
 )
 from .fracderiv import (
@@ -74,6 +75,7 @@ __all__ = [
     "eval_m_dx",
     "eval_m_exponential_part",
     "extend_to_level",
+    "log_bessel_series",
     "theta_roots",
     "DEFAULT_QUADRATURE",
     "QuadratureAccuracyError",

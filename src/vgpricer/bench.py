@@ -230,7 +230,7 @@ def run_scenarios(
     clock and the median is reported; with more than one repetition a
     warm-up call runs first and is discarded.  Monte Carlo rows derive
     their seed from (seed, row index) so runs are reproducible however
-    the rows are batched.
+    the rows are batched; rows without ``mc`` derive none.
 
     The ``cgz`` calls of one run share a memo of coefficient tables (see
     ``price_put_cgz``): an integer-t/nu row extends the table of its
@@ -255,7 +255,8 @@ def run_scenarios(
             res.errors["*"] = f"{type(exc).__name__}: {exc}"
             results.append(res)
             continue
-        row_seed = np_seed_for_row(seed, idx)
+        # only mc draws random numbers, so only its rows derive a seed
+        row_seed = np_seed_for_row(seed, idx) if "mc" in row.methods else None
         for method in row.methods:
             try:
                 quote, elapsed = _timed_call(

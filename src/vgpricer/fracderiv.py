@@ -61,7 +61,9 @@ _LOG_GAMMA_CUTOVER = 30.0
 # (algebraic in y at the strike) is below round-off, and y^(alpha-2)
 # stays far from overflow.  Only |t| <= _T_CORE (y, 1 - y >= e^-46 ~ 1e-20)
 # is evaluated unless the terms there have not decayed: the nodes past it
-# sit at lam = x/y so large that deep coefficient tables underflow.
+# (a quarter of the rule) sit at lam = x/y > 1e20 x, where the pricer's
+# integrand, the Bessel series of m^(n+2), is below round-off unless the
+# spot sits at the strike.
 _T_MAX = math.asinh(140.0 / math.pi)
 _T_CORE = math.asinh(46.0 / math.pi)
 # coarsest step of the rule, and the level (halvings of it) the first

@@ -52,14 +52,12 @@ instead of e^{theta_i z} would carry K^{-theta_i} factors, which
 overflow already at theta ~ 30 (typical for lam = 5, sigma = 0.1).
 
 Coefficient tables are built level by level in double precision up to
-``MAX_LEVEL``, for one lam or for a numpy array of them at once (the
-fractional-derivative quadrature needs m^(n) at every node lam0/y of
-its rule).  The power-law factor (-1)^n n!/lam^{n+1} is carried as a
+``MAX_LEVEL``.  The power-law factor (-1)^n n!/lam^{n+1} is carried as a
 running product, so it underflows gracefully at huge lam instead of
 overflowing in lam^{n+1}.  If the C^1 slope residual of a freshly built
 level exceeds 1e-9 relative (deep factorial cancellation at high
-levels), the stack is rebuilt in extended precision via mpmath, for
-each offending lam separately, and flagged in ``extended``.
+levels), the stack is rebuilt in extended precision via mpmath and
+flagged in ``extended``.
 
 Level n only needs level n-1, so a table is extended incrementally:
 ``extend_to_level`` continues the recursion from a table's top level
@@ -68,6 +66,36 @@ to that level would.  At integer t/nu the price needs one level of the
 table at lam = 1/nu, so one table per (strike, sigma, nu) is shared and
 extended across the integer-t/nu ``cgz`` rows of one
 ``bench.run_scenarios`` call.
+
+The exponential part alone has a second, cancellation-free form.  With
+D = sqrt(mu^2 + 2 sigma^2 lam) it is, on both branches,
+
+    (K sigma^2/2) e^{-mu z/sigma^2} e^{-D|z|/sigma^2} / (lam D)
+        = (K sigma/sqrt(8)) e^{-mu z/sigma^2} e^{-a sqrt(s)}/(lam sqrt(s)),
+
+where s = lam + mu^2/(2 sigma^2) and a = |z| sqrt(2)/sigma.  The factor
+e^{-a sqrt(s)}/sqrt(s) is the Laplace transform of (pi t)^{-1/2}
+e^{-a^2/(4t)} (Abramowitz & Stegun 29.3.84), so its k-th s-derivative
+is (-1)^k (2/sqrt(pi)) r^{k+1/2} K_{k+1/2}(a sqrt(s)) with r = a/(2 sqrt(s)).
+Leibniz's rule against (1/lam)^(j) = (-1)^j j!/lam^{j+1} then gives
+
+    exponential part of m^(n)
+        = (-1)^n (K sigma/sqrt(2 pi)) e^{-mu z/sigma^2} n! lam^{-(n+1)}
+          * sum_{k=0..n} p_k,      p_k = lam^k r^{k+1/2} K_{k+1/2}(a sqrt(s)) / k!,
+
+and the Bessel recurrence K_{v+1} = K_{v-1} + (2v/x) K_v (DLMF 10.29.1)
+turns into one for the p_k:
+
+    p_0     = sqrt(pi) e^{-a sqrt(s)} / (2 sqrt(s)),
+    p_1     = lam (r + 1/(2s)) p_0,
+    p_{k+1} = lam (k+1/2)/((k+1) s) p_k + lam^2 r^2/(k(k+1)) p_{k-1}.
+
+Every term is positive, so the sum has no cancellation and needs no
+C^1 check, no mpmath and no level cap.  ``log_bessel_series`` evaluates
+its logarithm over an array of lam in O(n): this is how the
+fractional-derivative quadrature of ``price_put_cgz`` evaluates
+m^(n+2) at all of its nodes.  It is the half-integer Bessel structure
+behind the closed form of Madan, Carr & Chang (1998).
 """
 
 from __future__ import annotations
@@ -89,6 +117,7 @@ __all__ = [
     "eval_m",
     "eval_m_dx",
     "eval_m_exponential_part",
+    "log_bessel_series",
 ]
 
 MAX_LEVEL = 100
@@ -99,16 +128,20 @@ _C1_RTOL = 1e-9
 
 _MP_DPS = 60
 
+# log_bessel_series runs its recurrence on p_k e^shift with shift =
+# a sqrt(s) - _X_LO clipped to [0, _X_HI]: p_0 e^shift stays at or above
+# e^-_X_LO sqrt(pi)/(2 sqrt(s)) up to a sqrt(s) = _X_LO + _X_HI, and no
+# term overflows, since every p_k is below sqrt(pi)/(2 sqrt(s))
+_X_LO = 600.0
+_X_HI = 650.0
+
 
 @dataclass(frozen=True)
 class ThetaRoots:
-    """Roots of (sigma^2/2) th^2 + mu th = lam, ordered theta1 > 0 > theta2.
+    """Roots of (sigma^2/2) th^2 + mu th = lam, ordered theta1 > 0 > theta2."""
 
-    Floats, or arrays matching the lam array of a vectorised table.
-    """
-
-    theta1: float | np.ndarray
-    theta2: float | np.ndarray
+    theta1: float
+    theta2: float
 
 
 def theta_roots(lam: float, params: VgParams) -> ThetaRoots:
@@ -136,34 +169,28 @@ class CoeffTable:
     the in-the-money branch (x <= log K, i = 1) and the out-of-the-money
     branch (x > log K, i = 2).  The power-law terms on the ITM branch,
     (-1)^n n! (K - e^x)/lam^{n+1}, are ``power_law[n] * (K - e^x)``.
-    When ``lam`` is a 1-d array, every coefficient, root and power-law
-    factor is an array over it, and ``extended`` flags each lam rebuilt
-    in extended precision.  Immutable; extension returns a new table.
+    ``extended`` flags a table rebuilt in extended precision.
+    Immutable; extension returns a new table.
     """
 
-    lam: float | np.ndarray
+    lam: float
     strike: float
     params: VgParams
     roots: ThetaRoots
     levels_itm: tuple[tuple, ...]
     levels_otm: tuple[tuple, ...]
     power_law: tuple
-    extended: bool | np.ndarray = False
+    extended: bool = False
 
     @property
     def max_level(self) -> int:
         return len(self.levels_itm) - 1
 
-    def c1_residual(self, n: int):
-        """Relative mismatch of the two branch slopes at z = 0 at level n
-        (an array over lam for a vectorised table)."""
+    def c1_residual(self, n: int) -> float:
+        """Relative mismatch of the two branch slopes at z = 0 at level n."""
         _require_level(self, n)
         s1, s2 = _branch_slopes(self, n)
-        if isinstance(s1, np.ndarray):
-            scale = np.maximum(np.maximum(abs(s1), abs(s2)), 1e-300)
-        else:
-            scale = max(abs(s1), abs(s2), 1e-300)
-        return abs(s1 - s2) / scale
+        return abs(s1 - s2) / max(abs(s1), abs(s2), 1e-300)
 
 
 def _require_level(table: CoeffTable, n: int) -> None:
@@ -193,7 +220,7 @@ def _next_tail(prev, jw, sig2, n):
 
     ``jw[j]`` is j * w_i.  Index k of the returned list holds a_{i(k+1)};
     slot 0 (the constant a_{i1}) is filled by C^1 matching afterwards.
-    Works unchanged on floats, numpy arrays and mpmath numbers.
+    Works unchanged on floats and mpmath numbers.
     """
     cur = [None] * (n + 1)
     for j in range(n, 0, -1):
@@ -206,7 +233,7 @@ def _next_tail(prev, jw, sig2, n):
 
 def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None, base=None):
     """Coefficients and power-law factors of both branches up to level
-    max_n; generic over float / numpy array / mpmath.
+    max_n; generic over float / mpmath.
 
     Starts at level 0, or, given the float table ``base``, continues the
     recursion from its top level and returns only the levels above it.
@@ -235,11 +262,7 @@ def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None, base=N
         power = base.power_law[-1]
     w1 = mu + sig2 * th1  # = +disc
     w2 = mu + sig2 * th2  # = -disc
-    if isinstance(w1, np.ndarray):
-        degenerate = not (w1.all() and w2.all())
-    else:
-        degenerate = w1 == 0 or w2 == 0
-    if degenerate:
+    if w1 == 0 or w2 == 0:
         # impossible for lam > 0 (w_i = +-sqrt(mu^2 + 2 lam sigma^2))
         raise ArithmeticError("degenerate characteristic roots: mu + sigma^2 theta = 0")
     jw1 = [j * w1 for j in range(max_n + 1)]
@@ -284,11 +307,8 @@ def _extended_levels(lam: float, strike: float, params: VgParams, max_n: int):
         )
 
 
-def _check_lam(lam) -> None:
-    if isinstance(lam, np.ndarray):
-        if lam.ndim != 1 or not np.all((lam > 0.0) & np.isfinite(lam)):
-            raise ValueError("lam must be a 1-d array of positive finite values")
-    elif not (lam > 0.0) or not math.isfinite(lam):
+def _check_lam(lam: float) -> None:
+    if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
 
@@ -297,7 +317,7 @@ def _check_level(n: int) -> None:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}, got {n}")
 
 
-def _table(lam, strike: float, params: VgParams, built, extended, base=None) -> CoeffTable:
+def _table(lam: float, strike: float, params: VgParams, built, extended, base=None) -> CoeffTable:
     """CoeffTable from _build_levels output, its levels appended to those
     of ``base`` (tuple concatenation: the old levels are not copied)."""
     th1, th2, lv1, lv2, pw = built
@@ -313,63 +333,34 @@ def _table(lam, strike: float, params: VgParams, built, extended, base=None) -> 
     )
 
 
-def _grow(lam, strike: float, params: VgParams, max_level: int, base=None) -> CoeffTable:
+def _grow(lam: float, strike: float, params: VgParams, max_level: int, base=None) -> CoeffTable:
     """Levels 0..max_level at lam: built from level 0, or the float
     recursion continued from the top level of ``base``.
 
     Only the new levels go through the C^1 check, since the levels of
-    ``base`` passed it when they were built.  A lam that fails it at
-    any level, or that ``base`` already flags as ``extended``, is
-    rebuilt from level 0 in mpmath, exactly as a fresh build would.
+    ``base`` passed it when they were built.  A table that fails it at
+    any level, or whose ``base`` is already ``extended``, is rebuilt
+    from level 0 in mpmath, exactly as a fresh build would.
     """
-    if base is None:
-        first = 0
-        extended = np.zeros(lam.shape, dtype=bool) if isinstance(lam, np.ndarray) else False
-    else:
-        first = base.max_level + 1
-        extended = base.extended
+    first = 0 if base is None else base.max_level + 1
+    extended = False if base is None else base.extended
     built = _build_levels(lam, strike, params, max_level, base=base)
     plain = _table(lam, strike, params, built, extended, base)
-    new_levels = range(first, max_level + 1)
-
-    if not isinstance(lam, np.ndarray):
-        if not extended and all(plain.c1_residual(n) <= _C1_RTOL for n in new_levels):
-            return plain
-        # factorial cancellation broke double precision; redo in mpmath once
-        built = _extended_levels(lam, strike, params, max_level)
-        return _table(lam, strike, params, built, extended=True)
-
-    ok = ~extended
-    for n in new_levels:
-        ok &= plain.c1_residual(n) <= _C1_RTOL
-    if ok.all():
+    if not extended and all(
+        plain.c1_residual(n) <= _C1_RTOL for n in range(first, max_level + 1)
+    ):
         return plain
-    # copy every array before writing the rebuilt nodes into it: the
-    # roots and lower levels may be shared with ``base``
-    th1, th2 = plain.roots.theta1.copy(), plain.roots.theta2.copy()
-    lv1 = [[c.copy() for c in cs] for cs in plain.levels_itm]
-    lv2 = [[c.copy() for c in cs] for cs in plain.levels_otm]
-    pw = [p.copy() for p in plain.power_law]
-    for i in np.flatnonzero(~ok):
-        e_th1, e_th2, e_lv1, e_lv2, e_pw = _extended_levels(
-            float(lam[i]), strike, params, max_level
-        )
-        th1[i], th2[i] = e_th1, e_th2
-        for n in range(max_level + 1):
-            pw[n][i] = e_pw[n]
-            for k in range(n + 1):
-                lv1[n][k][i] = e_lv1[n][k]
-                lv2[n][k][i] = e_lv2[n][k]
-    return _table(lam, strike, params, (th1, th2, lv1, lv2, pw), extended=~ok)
+    # factorial cancellation broke double precision; redo in mpmath once
+    built = _extended_levels(lam, strike, params, max_level)
+    return _table(lam, strike, params, built, extended=True)
 
 
-def build_coeff_table(lam, strike: float, params: VgParams, max_level: int = 0) -> CoeffTable:
+def build_coeff_table(lam: float, strike: float, params: VgParams, max_level: int = 0) -> CoeffTable:
     """Build the coefficient table for levels 0..max_level at this lam.
 
-    ``lam`` is a positive float, or a 1-d numpy array of them: one
-    recursion then serves every entry.  Double precision first; any lam
-    whose C^1 slope residual exceeds tolerance at some level is rebuilt
-    in extended precision and flagged in ``extended``.
+    Double precision first; a table whose C^1 slope residual exceeds
+    tolerance at some level is rebuilt in extended precision and
+    flagged in ``extended``.
     """
     _check_lam(lam)
     if not (strike > 0.0) or not math.isfinite(strike):
@@ -409,26 +400,21 @@ def _horner_dz(coeffs, z: float):
     return acc
 
 
-def _exp(v):
-    # math.exp keeps the scalar path on plain floats
-    return np.exp(v) if isinstance(v, np.ndarray) else math.exp(v)
-
-
 def eval_m(table: CoeffTable, n: int, x: float):
     """m^(n)(lam, x): the n-th lambda-derivative of the put transform.
 
     Sign alternates with n, since m^(n) = (-1)^n int_0^inf u s^n e^{-lam s} ds.
     The strike point x = log K belongs to the ITM branch; both branches
-    agree there by construction.  An array over lam for a vectorised table.
+    agree there by construction.
     """
     _require_level(table, n)
     z = x - math.log(table.strike)
     if z <= 0.0:
         poly = _horner(table.levels_itm[n], z)
         pw = table.power_law[n] * (table.strike - math.exp(x))
-        return poly * _exp(table.roots.theta1 * z) + pw
+        return poly * math.exp(table.roots.theta1 * z) + pw
     poly = _horner(table.levels_otm[n], z)
-    return poly * _exp(table.roots.theta2 * z)
+    return poly * math.exp(table.roots.theta2 * z)
 
 
 def eval_m_exponential_part(table: CoeffTable, n: int, x: float):
@@ -437,13 +423,14 @@ def eval_m_exponential_part(table: CoeffTable, n: int, x: float):
 
     This part decays super-polynomially in lam (like e^{-c sqrt(lam)}
     off the strike), which is what makes fractional differentiation of
-    it by quadrature viable.  An array over lam for a vectorised table.
+    it by quadrature viable.  ``log_bessel_series`` gives the same
+    quantity without a table.
     """
     _require_level(table, n)
     z = x - math.log(table.strike)
     if z <= 0.0:
-        return _horner(table.levels_itm[n], z) * _exp(table.roots.theta1 * z)
-    return _horner(table.levels_otm[n], z) * _exp(table.roots.theta2 * z)
+        return _horner(table.levels_itm[n], z) * math.exp(table.roots.theta1 * z)
+    return _horner(table.levels_otm[n], z) * math.exp(table.roots.theta2 * z)
 
 
 def eval_m_dx(table: CoeffTable, n: int, x: float):
@@ -456,9 +443,52 @@ def eval_m_dx(table: CoeffTable, n: int, x: float):
         pw_dx = -table.power_law[n] * math.exp(x)
         poly = _horner(coeffs, z)
         dpoly = _horner_dz(coeffs, z)
-        return (dpoly + theta * poly) * _exp(theta * z) + pw_dx
+        return (dpoly + theta * poly) * math.exp(theta * z) + pw_dx
     coeffs = table.levels_otm[n]
     theta = table.roots.theta2
     poly = _horner(coeffs, z)
     dpoly = _horner_dz(coeffs, z)
-    return (dpoly + theta * poly) * _exp(theta * z)
+    return (dpoly + theta * poly) * math.exp(theta * z)
+
+
+def log_bessel_series(lam, z: float, params: VgParams, n: int) -> np.ndarray:
+    """log sum_{k=0..n} p_k(lam) over a 1-d array of lam (module docstring).
+
+    The exponential part of m^(n) at log-moneyness z = x - log K is
+    (-1)^n (K sigma/sqrt(2 pi)) e^{-mu z/sigma^2} n! lam^{-(n+1)} times
+    the exponential of this, so a caller can fold its own factors into
+    one exponent per lam.  One pass of the three-term recurrence over
+    the whole array: O(n) numpy operations.
+
+    The loop runs on the p_k scaled by e^shift (see ``_X_LO``) and the
+    shift leaves again in log space, so nothing overflows and p_0 does
+    not underflow before the terms it seeds become negligible.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1 or not np.all((lam > 0.0) & np.isfinite(lam)):
+        raise ValueError("lam must be a 1-d array of positive finite values")
+    if n < 0:
+        raise ValueError(f"series level must be >= 0, got {n}")
+    sig2 = params.sigma * params.sigma
+    s = lam + params.mu * params.mu / (2.0 * sig2)
+    root_s = np.sqrt(s)
+    a = abs(z) * math.sqrt(2.0) / params.sigma
+    x = a * root_s
+    shift = np.minimum(np.maximum(x - _X_LO, 0.0), _X_HI)
+    prev = 0.5 * math.sqrt(math.pi) / root_s * np.exp(shift - x)
+    total = prev.copy()
+    if n >= 1:
+        r = a / (2.0 * root_s)
+        ratio = lam / s
+        lam_r2 = np.square(lam * r)
+        cur = lam * (r + 0.5 / s) * prev
+        total += cur
+        for k in range(1, n):
+            # each product is one positive addend of p_(k+1), so none overflows
+            prev, cur = cur, ratio * ((k + 0.5) / (k + 1) * cur) + lam_r2 * (prev / (k * (k + 1)))
+            total += cur
+    # p_0 underflows only past a sqrt(s) ~ 1300, where for n <= 1000
+    # every term is below e^-300 times its bound; -inf stands for that
+    out = np.full(lam.shape, -np.inf)
+    np.log(total, out=out, where=total > 0.0)
+    return out - shift

@@ -11,14 +11,18 @@
             * D^{rho-1-n} m^(n)(lam, log S) |_{lam = 1/nu},
 
     which is fully closed-form when rho is a positive integer
-    (D^0 = -identity) and needs one well-behaved quadrature otherwise:
-    a tanh-sinh rule whose nodes lam0/y go through the coefficient
-    recursion together, one numpy array per level of the rule.
-    For rho < 1 the same expression is used with n = 0 and a negative
-    order rho - 1.  The fractional derivative splits exactly: the
-    power-law terms of m^(n) go through the power rule, the
-    exponentially decaying remainder through the f''-quadrature with
-    f'' = (exponential part of) m^(n+2).
+    (D^0 = -identity), read from the coefficient table of m at level n,
+    and needs one well-behaved quadrature otherwise.  For rho < 1 the
+    same expression is used with n = 0 and a negative order rho - 1.
+    The fractional derivative splits exactly: the power-law terms of
+    m^(n) go through the power rule, which returns the intrinsic value
+    K - S on the in-the-money side, and the exponentially decaying
+    remainder through the f''-quadrature with f'' = (exponential part
+    of) m^(n+2).  That is a tanh-sinh rule whose nodes lam0/y go
+    together, as one numpy array per level of the rule, through the
+    positive half-integer Bessel series of the exponential part
+    (``laplace.log_bessel_series``: the recurrence DLMF 10.29.1 on the
+    transform A&S 29.3.84), so no level cap and no cancellation.
 
 ``price_put_mixture``
     Direct gamma-weighted average of zero-rate Black-Scholes prices
@@ -49,15 +53,9 @@ from .fracderiv import (
     DEFAULT_QUADRATURE,
     QuadratureAccuracyError,
     QuadratureConfig,
-    frac_deriv_power,
     frac_deriv_quadrature,
 )
-from .laplace import (
-    build_coeff_table,
-    eval_m,
-    eval_m_exponential_part,
-    extend_to_level,
-)
+from .laplace import build_coeff_table, eval_m, extend_to_level, log_bessel_series
 from .model import OptionSpec, VgParams
 
 __all__ = [
@@ -195,8 +193,13 @@ def price_put_cgz(
     """Closed-form price via the fractional derivative of the put transform.
 
     Exact (diagnostics None) when t/nu is a positive integer; otherwise
-    one tanh-sinh quadrature on (0, 1), vectorised over its nodes, with
-    a propagated error estimate.
+    one tanh-sinh quadrature on (0, 1) with a propagated error estimate.
+    Its integrand, the exponential part of m^(n+2), comes from the
+    positive Bessel series (DLMF 10.29.1, A&S 29.3.84; see ``laplace``)
+    over the whole array of nodes at once, with the factor
+    (1/nu)^rho/Gamma(rho) (n+2)! lam^-(n+3) folded into one exponent per
+    node, so fractional t/nu prices without overflow up to ~1000 and
+    beyond.
 
     ``tables`` is an optional memo owned by the caller, keyed by
     (strike, params).  At integer t/nu the price reads one level of the
@@ -206,7 +209,7 @@ def price_put_cgz(
     as without the memo.  Only double-precision tables are stored: a
     table rebuilt in mpmath for a high level would change the lower
     levels, which a fresh build computes in floats.  The fractional
-    branch does not use the memo.
+    branch needs no table and does not use the memo.
     """
     _require_put(spec)
     t0 = time.perf_counter()
@@ -214,7 +217,7 @@ def price_put_cgz(
     rho = spec.maturity / params.nu
     x = spec.log_spot
     strike = spec.strike
-    # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~60)
+    # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~1000)
     log_pref = rho * math.log(lam0) - gammaln(rho)
 
     k = round(rho)
@@ -233,18 +236,23 @@ def price_put_cgz(
     else:
         n = max(math.floor(rho - 1.0), 0)
         alpha = rho - 1.0 - n
+        z = x - math.log(strike)
+        # f'' is (1/nu)^rho/Gamma(rho) |exponential part of m^(n+2)|; its
+        # sign (-1)^n times the formula's (-1)^(n+1) is the minus below
+        log_coef = (
+            log_pref + math.lgamma(n + 3.0) - params.mu * z / params.sigma**2
+            + math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
+        )
 
-        def f_second(lam: float) -> float:
-            tab = build_coeff_table(lam, strike, params, max_level=n + 2)
-            return eval_m_exponential_part(tab, n + 2, x)
+        def f_second(lam: np.ndarray) -> np.ndarray:
+            log_series = log_bessel_series(lam, z, params, n + 2)
+            return np.exp(log_coef - (n + 3.0) * np.log(lam) + log_series)
 
         d_exp, qerr = frac_deriv_quadrature(f_second, alpha, lam0, cfg)
-        d_pow = 0.0
-        if x <= math.log(strike):
-            coef = (-1.0) ** n * math.factorial(n) * (strike - spec.spot)
-            d_pow = coef * frac_deriv_power(alpha, n + 1.0, lam0)
-        value = math.exp(log_pref) * (-1.0) ** (n + 1) * (d_exp + d_pow)
-        diag = math.exp(log_pref) * qerr
+        # the power rule on the power-law terms of m^(n) gives exactly the
+        # intrinsic value: the factorials and the powers of lam0 cancel
+        value = (strike - spec.spot if z <= 0.0 else 0.0) - d_exp
+        diag = qerr
 
     _check_put_bounds(value, spec, "cgz")
     return PriceQuote(value, "cgz", diag, time.perf_counter() - t0)

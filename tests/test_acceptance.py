@@ -13,7 +13,9 @@ its stated tolerance:
   * a 10^7-path Monte Carlo run brackets the closed form everywhere,
   * the closed form prices a seeded sweep of the whole parameter box,
     integer and fractional t/nu up to 100, within 1e-9 K of the gamma
-    mixture, and its quadrature error estimate covers that gap.
+    mixture, and its quadrature error estimate covers that gap,
+  * and it prices fractional t/nu up to 1000 over a wider box
+    (sigma 0.03..1, nu 0.02..2, S/K 0.2..5) within 1e-9 K of the mixture.
 """
 
 import math
@@ -271,6 +273,41 @@ def test_closed_form_prices_the_whole_box():
         "cgz over the whole box",
         worst <= 1e-9,
         f"max |cgz - mixture| = {worst:.2e} K <= 1e-9 K over {len(cases)} rows, "
+        f"t/nu up to {top_rho:.1f}, no warnings",
+    )
+
+
+# a wider box for the fractional branch, which has no level cap
+WIDE_SIGMA_BOX = (0.03, 1.0)
+WIDE_NU_BOX = (0.02, 2.0)
+WIDE_RHO_BOX = (0.05, 1000.0)  # t/nu
+WIDE_MONEYNESS_BOX = (0.2, 5.0)  # S/K
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_prices_the_wide_fractional_box():
+    # 200 seeded fractional rows, t/nu log-uniform up to 1000, every
+    # fourth row exactly at the money: far past the coefficient tables'
+    # level cap, which only the integer branch still has
+    rng = np.random.default_rng(BOX_SEED + 2)
+    worst = 0.0
+    top_rho = 0.0
+    for i in range(200):
+        sigma = float(rng.uniform(*WIDE_SIGMA_BOX))
+        nu = float(rng.uniform(*WIDE_NU_BOX))
+        rho = math.exp(rng.uniform(*np.log(WIDE_RHO_BOX)))
+        moneyness = 1.0 if i % 4 == 0 else math.exp(rng.uniform(*np.log(WIDE_MONEYNESS_BOX)))
+        spec = OptionSpec(100.0 * moneyness, 100.0, rho * nu)
+        params = VgParams(sigma, nu)
+        a = price_put_cgz(spec, params)  # must not raise or warn
+        b = price_put_mixture(spec, params)
+        assert a.diagnostics is not None  # the quadrature branch ran
+        worst = max(worst, abs(a.value - b.value) / spec.strike)
+        top_rho = max(top_rho, rho)
+    _report(
+        "cgz over the wide fractional box",
+        worst <= 1e-9,
+        f"max |cgz - mixture| = {worst:.2e} K <= 1e-9 K over 200 rows, "
         f"t/nu up to {top_rho:.1f}, no warnings",
     )
 

@@ -124,6 +124,40 @@ def test_mc_rows_reproduce_for_a_fixed_seed():
     assert av[0] != av[1]  # rows use distinct substreams
 
 
+def test_rows_without_mc_derive_no_seed(monkeypatch):
+    import vgpricer.bench as bench
+
+    def refuse(seed, row_index):
+        raise AssertionError("a row without mc derived a seed")
+
+    monkeypatch.setattr(bench, "np_seed_for_row", refuse)
+    rows = builtin_table_rows("T1", methods=("cgz",)) + builtin_table_rows("T2", methods=FAST)
+    report = run_scenarios(rows, repetitions=2, seed=3)
+    assert report.error_count == 0
+
+
+def test_mc_seeds_follow_the_row_index_in_a_mixed_row_list():
+    # np_seed_for_row(11, i) for rows 0..4, frozen: seeds depend on the
+    # row's index in the whole list, not on how many earlier rows ran mc
+    frozen = [1926383459, 592467769, 621272063, 520846937, 961975133]
+    assert [np_seed_for_row(11, i) for i in range(5)] == frozen
+    rows = [
+        ScenarioRow("a", 0.2, 18.0, 20.0, 0.1, 0.2, methods=("cgz",)),
+        ScenarioRow("b", 0.4, 22.0, 20.0, 0.1, 0.2, methods=("mc", "cgz")),
+        ScenarioRow("c", 0.3, 18.0, 20.0, 0.1, 0.2, methods=("mixture",)),
+        ScenarioRow("d", 0.5, 18.0, 20.0, 0.1, 0.2, methods=("cgz", "mc")),
+        ScenarioRow("e", 0.6, 22.0, 20.0, 0.2, 0.3, methods=("mc",)),
+    ]
+    report = run_scenarios(rows, seed=11, mc_paths=4_000)
+    for idx in (1, 3, 4):
+        row = rows[idx]
+        spec = OptionSpec(spot=row.spot, strike=row.strike, maturity=row.maturity)
+        params = VgParams(sigma=row.sigma, nu=row.nu)
+        want = pricing.price_put_mc(spec, params, pricing.McConfig(4_000, seed=frozen[idx]))
+        got = report.rows[idx].quotes["mc"]
+        assert (got.value, got.diagnostics) == (want.value, want.diagnostics)
+
+
 def test_repetitions_report_median_timing():
     rows = builtin_table_rows("T1", methods=("cgz",))[:1]
     report = run_scenarios(rows, repetitions=3)

@@ -1,4 +1,5 @@
-"""The Laplace-domain put transform: roots, coefficient tables, evaluation.
+"""The Laplace-domain put transform: roots, coefficient tables, evaluation,
+and the positive Bessel series of its exponential part.
 
 The reference point used throughout: sigma = 0.1, nu = 0.2 (so
 mu = -0.005), strike K = 20, lam = 5.  Frozen oracle values below were
@@ -22,6 +23,7 @@ from vgpricer import (
     eval_m_dx,
     eval_m_exponential_part,
     extend_to_level,
+    log_bessel_series,
     make_vg_params,
     theta_roots,
 )
@@ -288,66 +290,6 @@ def test_power_law_factor_never_overflows():
         assert small.power_law[n] == pytest.approx(want, rel=1e-15)
 
 
-# ---------------------------------------------------------------------------
-# vectorised tables: one recursion over an array of lam
-
-
-LAMS = np.array([0.3, 5.0, 80.0, 1e4, 1e9])
-
-
-def test_array_table_matches_scalar_tables():
-    # same arithmetic entry by entry; numpy's exp and sqrt may differ
-    # from math's by an ulp, hence the few-ulp tolerance
-    n_max = 8
-    vec = build_coeff_table(LAMS, K, P, max_level=n_max)
-    assert vec.max_level == n_max and not vec.extended.any()
-    for i, lam in enumerate(LAMS):
-        one = build_coeff_table(float(lam), K, P, max_level=n_max)
-        assert vec.roots.theta1[i] == pytest.approx(one.roots.theta1, rel=1e-15)
-        assert vec.roots.theta2[i] == pytest.approx(one.roots.theta2, rel=1e-15)
-        for n in range(n_max + 1):
-            assert vec.power_law[n][i] == pytest.approx(one.power_law[n], rel=1e-15)
-            for got, want in zip(vec.levels_itm[n], one.levels_itm[n]):
-                assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
-            for got, want in zip(vec.levels_otm[n], one.levels_otm[n]):
-                assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-300)
-            assert vec.c1_residual(n)[i] <= 1e-9
-        for x in (math.log(15.0), math.log(20.0), math.log(26.0)):
-            for n in (0, 3, n_max):
-                assert eval_m_exponential_part(vec, n, x)[i] == pytest.approx(
-                    eval_m_exponential_part(one, n, x), rel=1e-14, abs=1e-300
-                )
-                assert eval_m(vec, n, x)[i] == pytest.approx(
-                    eval_m(one, n, x), rel=1e-14, abs=1e-300
-                )
-
-
-def test_array_table_rebuilds_only_the_nodes_that_fail(monkeypatch):
-    # report a C^1 failure at the second and fourth lam only
-    flagged = np.array([False, True, False, True, False])
-    plain = build_coeff_table(LAMS, K, P, max_level=3)
-    monkeypatch.setattr(
-        laplace.CoeffTable, "c1_residual", lambda self, n: np.where(flagged, 1.0, 0.0)
-    )
-    table = build_coeff_table(LAMS, K, P, max_level=3)
-    monkeypatch.undo()
-    assert (table.extended == flagged).all()
-    for n in range(4):
-        for got, want in zip(table.levels_itm[n], plain.levels_itm[n]):
-            assert (got[~flagged] == want[~flagged]).all()
-            assert got[flagged] == pytest.approx(want[flagged], rel=1e-12)
-        assert table.power_law[n] == pytest.approx(plain.power_law[n], rel=1e-14)
-
-
-def test_array_lam_validation():
-    with pytest.raises(ValueError):
-        build_coeff_table(np.array([1.0, 0.0]), K, P)
-    with pytest.raises(ValueError):
-        build_coeff_table(np.array([1.0, np.inf]), K, P)
-    with pytest.raises(ValueError):
-        build_coeff_table(np.ones((2, 2)), K, P)
-
-
 def test_extended_precision_backend_agrees_with_floats():
     import mpmath
 
@@ -437,30 +379,120 @@ def test_extension_whose_new_level_trips_the_c1_check_falls_back_like_a_build(mo
     )
 
 
-def test_array_tables_extend_like_fresh_builds(monkeypatch):
-    for a, b in [(0, 3), (2, 9), (8, 30)]:
-        base = build_coeff_table(LAMS, K, P, max_level=a)
-        before = _bits(base)
-        grown = extend_to_level(base, b)
-        assert _bits(grown) == _bits(build_coeff_table(LAMS, K, P, max_level=b))
-        assert _bits(base) == before
-    # a C^1 failure on a new level only, at the second and fourth lam: those
-    # nodes are rebuilt in mpmath without writing into the base table
-    a, b = 2, 5
-    flagged = np.array([False, True, False, True, False])
-    base = build_coeff_table(LAMS, K, P, max_level=a)
-    before = _bits(base)
-    monkeypatch.setattr(
-        laplace.CoeffTable, "c1_residual",
-        lambda self, n: np.where(flagged & (n > a), 1.0, 0.0),
+# ---------------------------------------------------------------------------
+# the positive Bessel series of the exponential part
+
+
+def _from_series(lam, strike, params, n, x):
+    """Exponential part of m^(n) rebuilt from log_bessel_series."""
+    z = x - math.log(strike)
+    log_sum = log_bessel_series(np.array([lam]), z, params, n)[0]
+    log_mag = (
+        math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
+        - params.mu * z / params.sigma**2
+        + math.lgamma(n + 1.0) - (n + 1.0) * math.log(lam) + log_sum
     )
-    grown = extend_to_level(base, b)
-    fresh = build_coeff_table(LAMS, K, P, max_level=b)
-    # extending that table again rebuilds the flagged nodes in mpmath
-    regrown = extend_to_level(grown, b + 2)
-    refresh = build_coeff_table(LAMS, K, P, max_level=b + 2)
-    monkeypatch.undo()
-    assert (grown.extended == flagged).all()
-    assert _bits(grown) == _bits(fresh)
-    assert _bits(regrown) == _bits(refresh)
-    assert _bits(base) == before
+    return (-1.0) ** n * math.exp(log_mag)
+
+
+@pytest.mark.parametrize("sigma,nu,strike", [(0.1, 0.2, 20.0), (0.45, 0.07, 130.0),
+                                             (0.6, 1.0, 55.0), (0.03, 0.02, 100.0)])
+def test_series_matches_the_tables_through_level_forty(sigma, nu, strike):
+    params = VgParams(sigma=sigma, nu=nu)
+    worst = 0.0
+    for lam in (1.0 / nu, 3.0 / nu, 0.7, 40.0):
+        table = build_coeff_table(lam, strike, params, max_level=40)
+        for moneyness in (0.8, 0.98, 1.0, 1.03, 1.4):
+            x = math.log(strike * moneyness)
+            for n in range(41):
+                want = eval_m_exponential_part(table, n, x)
+                got = _from_series(lam, strike, params, n, x)
+                worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-12
+
+
+def _mp_log_series(lam, z, params, n):
+    """log sum_k lam^k r^(k+1/2) K_(k+1/2)(a sqrt(s)) / k! at 30 digits.
+
+    mpmath's besselk gives the orders up to 40; past them the forward
+    recurrence K_(v+1) = K_(v-1) + (2v/x) K_v continues in 30 digits (it
+    is stable for K, and besselk itself takes seconds per call at
+    orders near 1000).  At z = 0 the terms are the limit
+    Gamma(k+1/2)/(2 s^(k+1/2)).
+    """
+    import mpmath
+
+    with mpmath.workdps(30):
+        lam, z = mpmath.mpf(lam), mpmath.mpf(z)
+        sigma, mu = mpmath.mpf(params.sigma), mpmath.mpf(params.mu)
+        s = lam + mu**2 / (2 * sigma**2)
+        a = abs(z) * mpmath.sqrt(2) / sigma
+        x = a * mpmath.sqrt(s)
+        r = a / (2 * mpmath.sqrt(s))
+        total, weight = mpmath.mpf(0), mpmath.mpf(1)  # weight = lam^k / k!
+        bessel = []
+        for k in range(n + 1):
+            v = k + mpmath.mpf(0.5)
+            if z == 0:
+                term = mpmath.gamma(v) / (2 * s**v)
+            else:
+                if k <= 40:
+                    bessel.append(mpmath.besselk(v, x))
+                else:
+                    bessel.append(bessel[-2] + 2 * (v - 1) / x * bessel[-1])
+                term = r**v * bessel[-1]
+            total += weight * term
+            weight = weight * lam / (k + 1)
+        return mpmath.log(total)
+
+
+def test_series_matches_mpmath_besselk():
+    # seeded (lam, z, n): a quarter at the strike, lam log-uniform up to
+    # 1e6, n up to 1000.  Off the strike z is drawn through a sqrt(s),
+    # log-uniform on [0.1, 200]: past that, the rounding of the float
+    # inputs alone moves e^(-a sqrt(s)) by more than a sqrt(s) * 1e-16
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for i in range(32):
+        params = VgParams(sigma=float(rng.uniform(0.03, 1.0)), nu=float(rng.uniform(0.02, 2.0)))
+        lam = float(10.0 ** rng.uniform(-1.0, 6.0))
+        n = int(rng.choice([0, 1, 2, 7, 40, 300, 1000, 1000]))
+        if i % 4 == 0:
+            z = 0.0
+        else:
+            root_s = math.sqrt(lam + params.mu**2 / (2.0 * params.sigma**2))
+            target = math.exp(rng.uniform(math.log(0.1), math.log(200.0)))
+            z = float(rng.choice([-1.0, 1.0])) * target * params.sigma / (math.sqrt(2.0) * root_s)
+        got = float(log_bessel_series(np.array([lam]), z, params, n)[0])
+        want = float(_mp_log_series(lam, z, params, n))
+        worst = max(worst, abs(got - want))  # = relative error of the sum
+    assert worst <= 1e-13
+
+
+def test_series_terms_stay_finite_far_out():
+    # a sqrt(s) in the thousands at n = 1000: the shift keeps every term
+    # finite, and where p_0 underflows the log is -inf, not a warning
+    params = VgParams(sigma=0.03, nu=0.02)
+    lam = 50.0 * np.exp(np.linspace(0.0, 140.0, 57))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for z in (0.0, -1.6, 1.6):
+            for n in (0, 5, 1000):
+                out = log_bessel_series(lam, z, params, n)
+                assert not np.isnan(out).any() and (out < np.inf).all()
+                if z == 0.0:
+                    assert np.isfinite(out).all()
+    # the log falls with lam, so no node is spuriously large
+    out = log_bessel_series(lam, -1.6, params, 1000)
+    finite = out[np.isfinite(out)]
+    assert (np.diff(finite) < 0.0).all()
+
+
+def test_series_validates_its_input():
+    with pytest.raises(ValueError):
+        log_bessel_series(np.array([1.0, 0.0]), 0.1, P, 3)
+    with pytest.raises(ValueError):
+        log_bessel_series(np.array([1.0, np.inf]), 0.1, P, 3)
+    with pytest.raises(ValueError):
+        log_bessel_series(np.ones((2, 2)), 0.1, P, 3)
+    with pytest.raises(ValueError):
+        log_bessel_series(np.array([1.0]), 0.1, P, -1)
