@@ -6,8 +6,9 @@ strikes in one pass.  Absolute numbers vary with hardware; the shape of
 the comparison does not.  On integer clock shapes (t/nu whole) the
 closed form is pure arithmetic and runs in ~0.1 ms; the fractional
 shapes timed here pay for one tanh-sinh quadrature.  The mixture and
-Fourier integrals cost a few milliseconds each, Monte Carlo whatever
-the path budget says.
+Fourier integrals take roughly 0.4-1 ms each, since their QUADPACK
+integrands run on Python floats; Monte Carlo costs whatever the path
+budget says.
 """
 
 import time

@@ -40,13 +40,14 @@ Calls come from puts through zero-rate parity: C = P + S - K.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, ndtr
+from scipy.special import gammaln
 from scipy.stats import gamma as gamma_dist
 
 from .fracderiv import (
@@ -85,6 +86,14 @@ _DAMPING_SWEEP = (1.5, 0.75, 2.5)
 
 # paths per Monte Carlo chunk (one RNG substream each)
 _MC_CHUNK = 1_000_000
+
+# Phi(-d) = erfc(d sqrt(1/2)) / 2; math.sqrt(0.5) is the correctly rounded
+# constant (1 / math.sqrt(2) is one ulp low, which deep-tail puts magnify)
+_SQRT_HALF = math.sqrt(0.5)
+
+# the gamma-mixture integral is cut at this clock quantile; the put is at
+# most K, so the cut drops at most (1 - quantile) K
+_MIXTURE_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -149,18 +158,26 @@ def black_scholes_put(x: float, strike: float, s: float, params: VgParams):
 
         P = K Phi(-d2) - e^x Phi(-d1),
         d1 = (x - log K)/(sigma sqrt(s)) + sigma sqrt(s)/2,
-        d2 = d1 - sigma sqrt(s).
+        d2 = d1 - sigma sqrt(s),
 
-    Accepts scalar or array s (elementwise, all positive).
+    with Phi(-d) = erfc(d/sqrt 2)/2.  The formula runs on Python floats
+    (``math``), since the mixture quadrature calls it once per node; an
+    array s (all positive) maps that same formula over its elements.
     """
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0):
+    if not isinstance(s, float):
+        if np.ndim(s):
+            return np.array(
+                [black_scholes_put(x, strike, float(si), params) for si in np.ravel(s)]
+            ).reshape(np.shape(s))
+        s = float(s)
+    if s <= 0.0:
         raise ValueError("clock value s must be positive")
-    vol = params.sigma * np.sqrt(s_arr)
+    vol = params.sigma * math.sqrt(s)
     d1 = (x - math.log(strike)) / vol + 0.5 * vol
     d2 = d1 - vol
-    out = strike * ndtr(-d2) - math.exp(x) * ndtr(-d1)
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * (
+        strike * math.erfc(d2 * _SQRT_HALF) - math.exp(x) * math.erfc(d1 * _SQRT_HALF)
+    )
 
 
 def vg_charfunc(u, t: float, params: VgParams):
@@ -168,15 +185,15 @@ def vg_charfunc(u, t: float, params: VgParams):
 
         E[e^{iu X(gamma(t))}] = (1 - nu (iu mu - sigma^2 u^2 / 2))^{-t/nu}.
 
-    Accepts real or complex u, scalar or array.  For the complex
-    arguments used by damped Fourier inversion the base stays in the
-    right half-plane whenever nu sigma^2 a (a+1) / 2 < 1, so the
+    Accepts a real or complex Python scalar, on which it is plain complex
+    arithmetic (the Fourier quadrature calls it once per node), or a
+    numpy array, on which the same expression runs elementwise.  For the
+    complex arguments used by damped Fourier inversion the base stays in
+    the right half-plane whenever nu sigma^2 a (a+1) / 2 < 1, so the
     principal power is the correct branch.
     """
-    u = np.asarray(u)
     w = 1j * u * params.mu - 0.5 * params.sigma**2 * u * u
-    out = (1.0 - params.nu * w) ** (-t / params.nu)
-    return complex(out) if out.ndim == 0 else out
+    return (1.0 - params.nu * w) ** (-t / params.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +291,8 @@ def price_put_mixture(
     The integration domain is cut at the 1 - 1e-12 quantile; for shape
     > 1 it is split at the density mode, for shape < 1 the integrable
     s^{shape-1} endpoint singularity is handled by weighted quadrature.
+    diagnostics is the summed QUADPACK error estimate plus 1e-12 K, the
+    most the cut can drop.
     """
     _require_put(spec)
     t0 = time.perf_counter()
@@ -281,7 +300,7 @@ def price_put_mixture(
     rate = 1.0 / params.nu
     x = spec.log_spot
     strike = spec.strike
-    upper = float(gamma_dist.ppf(1.0 - 1e-12, shape, scale=params.nu))
+    upper = float(gamma_dist.ppf(1.0 - _MIXTURE_TAIL, shape, scale=params.nu))
     log_norm = shape * math.log(rate) - gammaln(shape)
 
     def density_integrand(s: float) -> float:
@@ -328,7 +347,7 @@ def price_put_mixture(
         )
 
     value = sum(p[0] for p in pieces)
-    err = sum(p[1] for p in pieces)
+    err = sum(p[1] for p in pieces) + _MIXTURE_TAIL * strike
     if any(len(p) > 3 for p in pieces) or not math.isfinite(value):
         raise QuadratureAccuracyError(
             "gamma-mixture quadrature did not converge", value, err
@@ -378,7 +397,7 @@ def _fourier_call_damped(
         failed = len(rc) > 3 or len(rs) > 3
     else:
         def integrand(v: float) -> float:
-            return (np.exp(1j * rel_strike * v) * eta(v)).real
+            return (cmath.exp(1j * rel_strike * v) * eta(v)).real
 
         r = quad(integrand, 0.0, np.inf,
                  epsabs=epsabs, epsrel=cfg.rel_tol,
@@ -498,7 +517,10 @@ def price_put_mc(
     substream spawned from (seed, chunk index), so results do not
     depend on how the chunks are scheduled.  With antithetic pairing
     the averaging unit is the pair mean and the standard error is
-    estimated across pairs.
+    estimated across pairs.  The payoff is computed in place in the
+    chunk's clock, normal and drift buffers, with the same operations in
+    the same order as the plain expression, so it allocates no
+    temporaries and gives the same bits.
     """
     _require_put(spec)
     t0 = time.perf_counter()
@@ -516,18 +538,18 @@ def price_put_mc(
         rng = np.random.default_rng(streams[idx])
         clock = rng.gamma(shape, scale=params.nu, size=m)
         z = rng.standard_normal(m)
-        drift = params.mu * clock
-        shock = params.sigma * np.sqrt(clock)
-        pay = np.maximum(spec.strike - spec.spot * np.exp(drift + shock * z), 0.0)
+        drift = np.multiply(params.mu, clock)
+        # shock = sigma sqrt(clock) in the clock's buffer, shock * z in z's
+        np.sqrt(clock, out=clock)
+        np.multiply(params.sigma, clock, out=clock)
+        np.multiply(clock, z, out=z)
+        units = _put_payoff(spec, np.add(drift, z, out=clock))
         if cfg.antithetic:
-            pay_anti = np.maximum(
-                spec.strike - spec.spot * np.exp(drift - shock * z), 0.0
-            )
-            units = 0.5 * (pay + pay_anti)
-        else:
-            units = pay
+            pay_anti = _put_payoff(spec, np.subtract(drift, z, out=drift))
+            np.add(units, pay_anti, out=units)
+            np.multiply(0.5, units, out=units)
         total += float(units.sum())
-        total_sq += float(np.square(units).sum())
+        total_sq += float(np.square(units, out=z).sum())
         done += m
 
     mean = total / units_total
@@ -537,6 +559,14 @@ def price_put_mc(
     else:
         stderr = float("inf")
     return PriceQuote(mean, "mc", stderr, time.perf_counter() - t0)
+
+
+def _put_payoff(spec: OptionSpec, log_return: np.ndarray) -> np.ndarray:
+    """max(K - S e^y, 0) for y = log_return, computed in the buffer of y."""
+    np.exp(log_return, out=log_return)
+    np.multiply(spec.spot, log_return, out=log_return)
+    np.subtract(spec.strike, log_return, out=log_return)
+    return np.maximum(log_return, 0.0, out=log_return)
 
 
 def call_from_put(put: float, spot: float, strike: float) -> float:

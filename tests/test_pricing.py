@@ -9,6 +9,7 @@ statistical backstop.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -75,6 +76,25 @@ def test_black_scholes_put_limits():
         black_scholes_put(math.log(18.0), 20.0, -1.0, P1)
 
 
+def test_black_scholes_put_against_mpmath():
+    # 40-digit reference from the exact float inputs; clock values down to
+    # 1e-10, where d1 and d2 run far into the tails
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(500):
+            strike = float(rng.uniform(1.0, 200.0))
+            x = math.log(strike) + float(rng.uniform(math.log(0.2), math.log(5.0)))
+            s = math.exp(float(rng.uniform(math.log(1e-10), math.log(50.0))))
+            params = make_vg_params(float(rng.uniform(0.05, 1.0)), 0.3)
+            vol = mpmath.mpf(params.sigma) * mpmath.sqrt(s)
+            d1 = (mpmath.mpf(x) - mpmath.log(strike)) / vol + vol / 2
+            want = strike * mpmath.ncdf(vol - d1) - mpmath.exp(x) * mpmath.ncdf(-d1)
+            got = black_scholes_put(x, strike, s, params)
+            worst = max(worst, float(abs(got - want)) / strike)
+    assert worst <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # characteristic function
 
@@ -128,6 +148,31 @@ def test_charfunc_vectorizes():
     got = vg_charfunc(u, 0.5, P1)
     want = [vg_charfunc(float(ui), 0.5, P1) for ui in u]
     np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+def test_charfunc_on_the_fourier_contour_against_mpmath():
+    # u = v - i(a+1) for the damping exponents of the Fourier sweep, on
+    # parameters inside each exponent's moment bound
+    rng = np.random.default_rng(2025)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for a in (0.75, 1.5, 2.5):
+            done = 0
+            while done < 100:
+                sigma = float(rng.uniform(0.05, 0.6))
+                nu = float(rng.uniform(0.05, 1.0))
+                if nu * sigma**2 * a * (a + 1.0) / 2.0 >= 1.0:
+                    continue
+                params = make_vg_params(sigma, nu)
+                t = nu * float(rng.uniform(0.05, 25.0))
+                v = math.exp(float(rng.uniform(-5.0, 6.0)))
+                got = vg_charfunc(complex(v, -(a + 1.0)), t, params)
+                u = mpmath.mpc(v, -(a + 1.0))
+                w = 1j * u * mpmath.mpf(params.mu) - mpmath.mpf(sigma) ** 2 * u * u / 2
+                want = (1 - mpmath.mpf(nu) * w) ** (-mpmath.mpf(t) / mpmath.mpf(nu))
+                worst = max(worst, float(abs(got - want) / abs(want)))
+                done += 1
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +271,14 @@ def test_mixture_shape_one_branch():
     # t = nu makes the clock exponential: the no-split code path
     q = price_put_mixture(_spec(18.0, 20.0, P1.nu), P1)
     assert q.value == pytest.approx(2.010712903966235, abs=1e-9)
+
+
+@pytest.mark.parametrize("t", [0.1, P1.nu, 0.5], ids=["shape<1", "shape=1", "shape>1"])
+def test_mixture_error_estimate_covers_the_cut(t):
+    # the integral stops at the 1 - 1e-12 clock quantile, and the put is
+    # at most K, so the estimate must allow for 1e-12 K
+    q = price_put_mixture(_spec(18.0, 20.0, t), P1)
+    assert q.diagnostics >= 1e-12 * 20.0
 
 
 def test_mixture_rejects_calls():
@@ -333,6 +386,40 @@ def test_mc_chunking_does_not_change_the_estimate():
     assert small.value != big.value  # different sample sizes, same law
     exact = price_put_cgz(spec, P1).value
     assert abs(big.value - exact) < 3.0 * big.diagnostics
+
+
+# float.hex of (value, standard error) for seed 11 + contract index,
+# frozen so that any drift of the simulated payoff in the last bits shows
+MC_CONTRACTS = [
+    (_spec(18.0, 20.0, 0.5), P1),
+    (_spec(22.0, 20.0, 1.0), P1),
+    (_spec(100.0, 130.0, 0.1), P2),
+    (_spec(100.0, 80.0, 0.35), P3),
+]
+MC_FROZEN = {
+    # (contract, path_count, antithetic): (value, stderr)
+    (0, 100_000, True): ("0x1.06440b57e1a22p+1", "0x1.397b85d824e45p-11"),
+    (0, 100_001, False): ("0x1.06a509bc6f7c6p+1", "0x1.e0dc57706b6cdp-9"),
+    (0, 1_000_001, True): ("0x1.064ca30f6ac9fp+1", "0x1.8d2eaab790710p-13"),
+    (1, 100_000, True): ("0x1.83294d90ad10fp-3", "0x1.c204fa9df9542p-10"),
+    (1, 100_001, False): ("0x1.7dac5693fe037p-3", "0x1.d6cc578dba48bp-10"),
+    (1, 1_000_001, True): ("0x1.855bed8d96a36p-3", "0x1.1e19d9aac739dp-11"),
+    (2, 100_000, True): ("0x1.e0614f5760152p+4", "0x1.d4084df63e189p-10"),
+    (2, 100_001, False): ("0x1.e00aa94384e17p+4", "0x1.3fd7873c24836p-6"),
+    (2, 1_000_001, True): ("0x1.e05fc635eb69bp+4", "0x1.24dd1f7376a3cp-11"),
+    (3, 100_000, True): ("0x1.28dd6497a9191p-2", "0x1.8ddfa3f7a2461p-8"),
+    (3, 100_001, False): ("0x1.33de0d17e42c0p-2", "0x1.9d9c0a22c2fd6p-8"),
+    (3, 1_000_001, True): ("0x1.2de73a94d00aap-2", "0x1.fbac58046d436p-10"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(MC_FROZEN), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_mc_values_are_frozen(key):
+    # 1 000 001 antithetic paths take two chunks (500 001 pairs)
+    idx, paths, antithetic = key
+    spec, params = MC_CONTRACTS[idx]
+    q = price_put_mc(spec, params, McConfig(paths, seed=11 + idx, antithetic=antithetic))
+    assert (q.value.hex(), q.diagnostics.hex()) == MC_FROZEN[key]
 
 
 def test_mc_degenerate_clock_recovers_black_scholes():
