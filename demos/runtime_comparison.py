@@ -16,11 +16,11 @@ import time
 import numpy as np
 
 from vgpricer import OptionSpec, VgParams, fourier_put_ladder, price_put_fourier
-from vgpricer.bench import emit_report, run_builtin_table
+from vgpricer.bench import builtin_table_rows, emit_report, run_scenarios
 
 # ---- per-method timing over table T2 (fractional clock shapes) -------------
-report = run_builtin_table("T2", methods=("cgz", "mixture", "fourier", "mc"),
-                           repetitions=5, seed=7, mc_paths=200_000)
+report = run_scenarios(builtin_table_rows("T2", ("cgz", "mixture", "fourier", "mc")),
+                       repetitions=5, seed=7, mc_paths=200_000)
 print(emit_report(report, "text"))
 
 summary = report.summary()

@@ -7,13 +7,7 @@ provided as independent cross-checks, plus a benchmark harness for the
 built-in reference tables.
 """
 
-from .model import (
-    GammaTimeLaw,
-    OptionSpec,
-    VgParams,
-    gamma_maturity_density,
-    make_vg_params,
-)
+from .model import OptionSpec, VgParams
 from .laplace import (
     MAX_LEVEL,
     CoeffTable,
@@ -41,6 +35,7 @@ from .pricing import (
     black_scholes_put,
     call_from_put,
     fourier_put_ladder,
+    price,
     price_put_cgz,
     price_put_fourier,
     price_put_mc,
@@ -55,18 +50,14 @@ from .bench import (
     ScenarioRow,
     builtin_table_rows,
     emit_report,
-    run_builtin_table,
     run_scenarios,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GammaTimeLaw",
     "OptionSpec",
     "VgParams",
-    "gamma_maturity_density",
-    "make_vg_params",
     "MAX_LEVEL",
     "CoeffTable",
     "ThetaRoots",
@@ -89,6 +80,7 @@ __all__ = [
     "black_scholes_put",
     "call_from_put",
     "fourier_put_ladder",
+    "price",
     "price_put_cgz",
     "price_put_fourier",
     "price_put_mc",
@@ -101,7 +93,6 @@ __all__ = [
     "ScenarioRow",
     "builtin_table_rows",
     "emit_report",
-    "run_builtin_table",
     "run_scenarios",
     "__version__",
 ]

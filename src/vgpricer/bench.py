@@ -7,12 +7,13 @@ short-maturity out-of-the-money grids (S=50, K=35) at sigma=0.2 with
 nu=0.25 and nu=0.5 where t/nu drops as low as 0.1.  Expected values are
 reference prices quoted to 4 decimals.
 
-``run_scenarios`` prices rows with any subset of methods, captures
-per-row errors instead of aborting the run, and reports the median
-wall time per method (a warm-up call is excluded whenever more than
-one repetition is requested).  Its integer-t/nu ``cgz`` rows share one
-coefficient table per (strike, sigma, nu), extended level by level as
-the rows need it, for the length of one call.  ``emit_report`` renders
+``run_scenarios`` prices rows with any subset of methods through
+``pricing.price``, captures per-row errors instead of aborting the run,
+and reports per method the median of the repetitions' ``elapsed`` (a
+warm-up call is excluded whenever more than one repetition is
+requested).  Its integer-t/nu ``cgz`` rows share one coefficient table
+per (strike, sigma, nu), extended level by level as the rows need it,
+for the length of one call.  ``emit_report`` renders
 a report as aligned text, CSV (fixed header: table,t,S,K,sigma,nu,
 method,price,expected,abs_diff,elapsed_ns), or JSON.  Identical configuration and
 seeds give byte-identical CSV except for the elapsed_ns column.
@@ -23,22 +24,13 @@ from __future__ import annotations
 import io
 import json
 import statistics
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fracderiv import DEFAULT_QUADRATURE, QuadratureConfig
 from .model import OptionSpec, VgParams
-from .pricing import (
-    METHODS,
-    McConfig,
-    PriceQuote,
-    price_put_cgz,
-    price_put_fourier,
-    price_put_mc,
-    price_put_mixture,
-)
+from .pricing import METHODS, McConfig, PriceQuote, price
 
 __all__ = [
     "BUILTIN_TABLES",
@@ -46,20 +38,12 @@ __all__ = [
     "RowResult",
     "BenchReport",
     "builtin_table_rows",
-    "run_builtin_table",
     "run_scenarios",
     "emit_report",
     "CSV_HEADER",
 ]
 
 CSV_HEADER = "table,t,S,K,sigma,nu,method,price,expected,abs_diff,elapsed_ns"
-
-_PRICERS = {
-    "cgz": price_put_cgz,
-    "mixture": price_put_mixture,
-    "fourier": price_put_fourier,
-    "mc": price_put_mc,
-}
 
 
 @dataclass(frozen=True)
@@ -226,11 +210,12 @@ def run_scenarios(
 ) -> BenchReport:
     """Price every row with its methods; capture errors per row.
 
-    Each method is timed over ``repetitions`` calls on a monotonic
-    clock and the median is reported; with more than one repetition a
-    warm-up call runs first and is discarded.  Monte Carlo rows derive
-    their seed from (seed, row index) so runs are reproducible however
-    the rows are batched; rows without ``mc`` derive none.
+    Each method is priced ``repetitions`` times through ``price``, and
+    the quote carries the median of their ``elapsed``; with more than
+    one repetition a warm-up call runs first and is discarded.  Monte
+    Carlo rows derive their seed from (seed, row index) so runs are
+    reproducible however the rows are batched; rows without ``mc``
+    derive none.
 
     The ``cgz`` calls of one run share a memo of coefficient tables (see
     ``price_put_cgz``): an integer-t/nu row extends the table of its
@@ -259,15 +244,11 @@ def run_scenarios(
         row_seed = np_seed_for_row(seed, idx) if "mc" in row.methods else None
         for method in row.methods:
             try:
-                quote, elapsed = _timed_call(
+                res.quotes[method] = _median_quote(
                     method, spec, params, cfg, row_seed, mc_paths, repetitions, tables
                 )
             except (ValueError, ArithmeticError, RuntimeError) as exc:
                 res.errors[method] = f"{type(exc).__name__}: {exc}"
-                continue
-            res.quotes[method] = PriceQuote(
-                quote.value, quote.method, quote.diagnostics, elapsed
-            )
         results.append(res)
     return BenchReport(rows=results)
 
@@ -277,43 +258,23 @@ def np_seed_for_row(seed: int, row_index: int) -> int:
     return int(np.random.SeedSequence([seed, row_index]).generate_state(1)[0])
 
 
-def _timed_call(method, spec, params, cfg, seed, mc_paths, repetitions, tables):
+def _median_quote(method, spec, params, cfg, seed, mc_paths, repetitions, tables):
     memo: dict = {}  # the cgz tables as this row's last repetition left them
     if method == "mc":
-        mc_cfg = McConfig(path_count=mc_paths, seed=seed)
-        call = lambda: price_put_mc(spec, params, mc_cfg)  # noqa: E731
-    elif method == "cgz":
+        mc = McConfig(path_count=mc_paths, seed=seed)
+        call = lambda: price(spec, params, "mc", mc=mc)  # noqa: E731
+    else:
         def call():
             memo.clear()
             memo.update(tables)
-            return _PRICERS["cgz"](spec, params, cfg, tables=memo)
-    else:
-        pricer = _PRICERS[method]
-        call = lambda: pricer(spec, params, cfg)  # noqa: E731
+            return price(spec, params, method, cfg, tables=memo)
     if repetitions > 1:
         call()  # warm-up, excluded from timing
-    times = []
-    quote = None
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        quote = call()
-        times.append(time.perf_counter() - t0)
+    quotes = [call() for _ in range(repetitions)]
     tables.update(memo)
-    return quote, statistics.median(times)
-
-
-def run_builtin_table(
-    table_id: str,
-    methods: tuple[str, ...] = METHODS,
-    repetitions: int = 1,
-    seed: int = 0,
-    mc_paths: int = 100_000,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> BenchReport:
-    """Price every row of one built-in table with the given methods."""
-    rows = builtin_table_rows(table_id, methods)
-    return run_scenarios(rows, repetitions=repetitions, seed=seed,
-                         mc_paths=mc_paths, cfg=cfg)
+    if repetitions == 1:
+        return quotes[0]
+    return replace(quotes[-1], elapsed=statistics.median(q.elapsed for q in quotes))
 
 
 # ---------------------------------------------------------------------------

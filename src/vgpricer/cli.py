@@ -10,6 +10,10 @@ Global options (before or after the subcommand): --format csv|json|text,
 variable; the flag wins.  Exit codes: 0 success, 1 at least one row
 failed to price, 2 bad configuration (arguments, files, formats).
 
+Every subcommand prices through ``pricing.price``; ``price --format
+csv`` renders its quote as a one-row report, in the layout of ``table``
+and ``bench``.
+
 Scenario CSV files use the identifying columns of the report header:
 ``table,t,S,K,sigma,nu`` (``table`` optional), plus optional ``method``
 (semicolon-separated list; empty means all) and ``expected`` columns.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import sys
 
@@ -27,15 +32,13 @@ from .bench import (
     BenchReport,
     RowResult,
     ScenarioRow,
+    builtin_table_rows,
     emit_report,
-    np_seed_for_row,
-    run_builtin_table,
     run_scenarios,
 )
 from .fracderiv import DEFAULT_QUADRATURE, QuadratureConfig
 from .model import OptionSpec, VgParams
-from .pricing import METHODS, McConfig, call_from_put, price_put_mc
-from .bench import _PRICERS
+from .pricing import METHODS, McConfig, price
 
 __all__ = ["main", "build_parser"]
 
@@ -200,62 +203,44 @@ def _cmd_price(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     cfg = _quad_config(args)
     spec = OptionSpec(spot=args.spot, strike=args.strike,
-                      maturity=args.maturity, side="put")
+                      maturity=args.maturity, side=args.side)
     params = VgParams(sigma=args.sigma, nu=args.nu)
-    row = ScenarioRow(table="-", maturity=args.maturity, spot=args.spot,
-                      strike=args.strike, sigma=args.sigma, nu=args.nu,
-                      methods=(args.method,))
-    result = RowResult(scenario=row)
     try:
-        if args.method == "mc":
-            quote = price_put_mc(spec, params,
-                                 McConfig(path_count=args.paths, seed=seed))
-        else:
-            quote = _PRICERS[args.method](spec, params, cfg)
+        mc = McConfig(path_count=args.paths, seed=seed) if args.method == "mc" else McConfig()
+        quote = price(spec, params, args.method, cfg, mc)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"vgp: pricing failed: {exc}", file=sys.stderr)
         return 1
-    value = quote.value
-    if args.side == "call":
-        value = call_from_put(quote.value, args.spot, args.strike)
     if args.format == "text":
         diag = f", err~{quote.diagnostics:.2e}" if quote.diagnostics is not None else ""
         _deliver(
-            f"{args.side} {value:.10f} (method={args.method}{diag}, "
+            f"{args.side} {quote.value:.10f} (method={args.method}{diag}, "
             f"{quote.elapsed * 1e3:.3f} ms)\n",
             args,
         )
     elif args.format == "json":
-        import json
-
         _deliver(json.dumps({
-            "side": args.side, "price": value, "method": args.method,
+            "side": args.side, "price": quote.value, "method": args.method,
             "S": args.spot, "K": args.strike, "t": args.maturity,
             "sigma": args.sigma, "nu": args.nu,
             "diagnostics": quote.diagnostics,
             "elapsed_ns": int(quote.elapsed * 1e9),
         }, indent=2, sort_keys=True) + "\n", args)
     else:
-        # bench-style CSV; the price column carries the requested side
-        from .bench import CSV_HEADER
-
-        diff = ""
-        _deliver(
-            CSV_HEADER + "\n"
-            + f"-,{args.maturity:.6g},{args.spot:.6g},{args.strike:.6g},"
-            f"{args.sigma:.6g},{args.nu:.6g},{args.method},{value:.12g},,{diff},"
-            f"{int(quote.elapsed * 1e9)}\n",
-            args,
-        )
+        # the price column carries the requested side
+        row = ScenarioRow(table="-", maturity=args.maturity, spot=args.spot,
+                          strike=args.strike, sigma=args.sigma, nu=args.nu,
+                          methods=(args.method,))
+        report = BenchReport([RowResult(row, {args.method: quote})])
+        _deliver(emit_report(report, "csv"), args)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     methods = _parse_methods(args.methods)
-    report = run_builtin_table(args.table_id, methods=methods,
-                               repetitions=args.reps, seed=seed,
-                               mc_paths=args.paths)
+    report = run_scenarios(builtin_table_rows(args.table_id, methods),
+                           repetitions=args.reps, seed=seed, mc_paths=args.paths)
     _deliver(emit_report(report, args.format), args)
     return 1 if report.error_count else 0
 

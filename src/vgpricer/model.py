@@ -1,4 +1,4 @@
-"""Model parameters, option contracts, and the gamma time change.
+"""Model parameters and option contracts.
 
 The underlying is an exponential variance gamma process: arithmetic
 Brownian motion X with drift mu and volatility sigma, run on an
@@ -24,16 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.special import gammaln
-
-__all__ = [
-    "VgParams",
-    "OptionSpec",
-    "GammaTimeLaw",
-    "make_vg_params",
-    "gamma_maturity_density",
-]
+__all__ = ["VgParams", "OptionSpec"]
 
 # tolerance (relative to sigma^2/2) for accepting an explicit drift
 _MU_RTOL = 1e-12
@@ -68,11 +59,6 @@ class VgParams:
             )
 
 
-def make_vg_params(sigma: float, nu: float) -> VgParams:
-    """Build a parameter set with the martingale drift mu = -sigma^2/2."""
-    return VgParams(sigma=sigma, nu=nu)
-
-
 @dataclass(frozen=True)
 class OptionSpec:
     """A European option on the variance gamma spot.
@@ -101,60 +87,3 @@ class OptionSpec:
     def log_strike(self) -> float:
         return math.log(self.strike)
 
-
-@dataclass(frozen=True)
-class GammaTimeLaw:
-    """Law of the gamma clock at a fixed calendar time.
-
-    gamma(t) ~ Gamma(shape, rate) with density
-
-        f(s) = rate^shape * s^(shape-1) * exp(-rate s) / Gamma(shape),  s > 0,
-
-    mean shape/rate = t and variance shape/rate^2 = t*nu for the
-    maturity law shape = t/nu, rate = 1/nu.  For shape < 1 the density
-    is unbounded at the origin but remains integrable.
-    """
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        if not (self.shape > 0.0) or not math.isfinite(self.shape):
-            raise ValueError(f"shape must be positive and finite, got {self.shape!r}")
-        if not (self.rate > 0.0) or not math.isfinite(self.rate):
-            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
-
-    @classmethod
-    def from_maturity(cls, t: float, nu: float) -> "GammaTimeLaw":
-        if not (t > 0.0):
-            raise ValueError(f"maturity must be positive, got {t!r}")
-        if not (nu > 0.0):
-            raise ValueError(f"nu must be positive, got {nu!r}")
-        return cls(shape=t / nu, rate=1.0 / nu)
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / self.rate**2
-
-    def density(self, s):
-        """Density at s (scalar or array); requires s > 0 elementwise."""
-        s = np.asarray(s, dtype=float)
-        if np.any(s <= 0.0) or not np.all(np.isfinite(s)):
-            raise ValueError("density is defined for positive finite s only")
-        log_pdf = (
-            self.shape * math.log(self.rate)
-            + (self.shape - 1.0) * np.log(s)
-            - self.rate * s
-            - gammaln(self.shape)
-        )
-        out = np.exp(log_pdf)
-        return float(out) if out.ndim == 0 else out
-
-
-def gamma_maturity_density(s, t: float, nu: float):
-    """Density of gamma(t) at clock value s, for maturity t and variance rate nu."""
-    return GammaTimeLaw.from_maturity(t, nu).density(s)

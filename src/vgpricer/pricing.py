@@ -35,7 +35,9 @@
 ``price_put_mc``
     Monte Carlo over the time-changed Brownian motion.
 
-Calls come from puts through zero-rate parity: C = P + S - K.
+``price`` is the entry point: it picks one of these routes, prices a
+call as the put of the same contract plus zero-rate parity
+C = P + S - K, and times the pricer.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -71,6 +73,7 @@ __all__ = [
     "fourier_put_ladder",
     "price_put_mc",
     "call_from_put",
+    "price",
 ]
 
 METHODS = ("cgz", "mixture", "fourier", "mc")
@@ -102,28 +105,33 @@ class PriceQuote:
 
     diagnostics is the method's own accuracy handle: a propagated
     quadrature error estimate, the Monte Carlo standard error, or None
-    for exact closed-form evaluation.  elapsed is wall time in seconds.
+    for exact closed-form evaluation.  elapsed is the wall time in
+    seconds that ``price`` measured around the pricer; the put pricers
+    leave it 0.  A put must be non-negative; a call from ``price`` may
+    dip below zero by the Monte Carlo error of its put.
     """
 
     value: float
     method: str
     diagnostics: float | None = None
     elapsed: float = 0.0
+    side: str = "put"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not math.isfinite(self.value) or self.value < -_BOUND_SLACK:
+        if not math.isfinite(self.value) or (
+            self.side == "put" and self.value < -_BOUND_SLACK
+        ):
             raise ValueError(f"price must be finite and non-negative, got {self.value!r}")
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Monte Carlo knobs: total paths, RNG seed, antithetic pairing."""
+    """Monte Carlo knobs: total paths and RNG seed."""
 
     path_count: int = 100_000
     seed: int = 0
-    antithetic: bool = True
 
     def __post_init__(self):
         if self.path_count < 1:
@@ -161,15 +169,8 @@ def black_scholes_put(x: float, strike: float, s: float, params: VgParams):
         d2 = d1 - sigma sqrt(s),
 
     with Phi(-d) = erfc(d/sqrt 2)/2.  The formula runs on Python floats
-    (``math``), since the mixture quadrature calls it once per node; an
-    array s (all positive) maps that same formula over its elements.
+    (``math``), since the mixture quadrature calls it once per node.
     """
-    if not isinstance(s, float):
-        if np.ndim(s):
-            return np.array(
-                [black_scholes_put(x, strike, float(si), params) for si in np.ravel(s)]
-            ).reshape(np.shape(s))
-        s = float(s)
     if s <= 0.0:
         raise ValueError("clock value s must be positive")
     vol = params.sigma * math.sqrt(s)
@@ -229,7 +230,6 @@ def price_put_cgz(
     branch needs no table and does not use the memo.
     """
     _require_put(spec)
-    t0 = time.perf_counter()
     lam0 = 1.0 / params.nu
     rho = spec.maturity / params.nu
     x = spec.log_spot
@@ -272,7 +272,7 @@ def price_put_cgz(
         diag = qerr
 
     _check_put_bounds(value, spec, "cgz")
-    return PriceQuote(value, "cgz", diag, time.perf_counter() - t0)
+    return PriceQuote(value, "cgz", diag)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,6 @@ def price_put_mixture(
     most the cut can drop.
     """
     _require_put(spec)
-    t0 = time.perf_counter()
     shape = spec.maturity / params.nu
     rate = 1.0 / params.nu
     x = spec.log_spot
@@ -353,7 +352,7 @@ def price_put_mixture(
             "gamma-mixture quadrature did not converge", value, err
         )
     _check_put_bounds(value, spec, "mixture")
-    return PriceQuote(value, "mixture", err, time.perf_counter() - t0)
+    return PriceQuote(value, "mixture", err)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +427,6 @@ def price_put_fourier(
     exponent tried and why it was rejected.
     """
     _require_put(spec)
-    t0 = time.perf_counter()
     sweep = (damping,) if damping is not None else _DAMPING_SWEEP
     intrinsic = max(spec.strike - spec.spot, 0.0)
     slack = _BOUND_SLACK * max(1.0, spec.strike)
@@ -446,7 +444,7 @@ def price_put_fourier(
                 value = call - spec.spot + spec.strike
                 if intrinsic - slack <= value <= spec.strike + slack:
                     value = max(value, 0.0)  # inversion noise may dip a hair below zero
-                    return PriceQuote(value, "fourier", err, time.perf_counter() - t0)
+                    return PriceQuote(value, "fourier", err)
                 last_error = ArithmeticError(f"price {value!r} out of no-arbitrage bounds")
         rejected.append(f"damping {a!r}: {last_error}")
     message = "every damping exponent failed: " + "; ".join(rejected)
@@ -515,18 +513,17 @@ def price_put_mc(
 
     Paths are drawn in fixed-size chunks, each from its own RNG
     substream spawned from (seed, chunk index), so results do not
-    depend on how the chunks are scheduled.  With antithetic pairing
-    the averaging unit is the pair mean and the standard error is
-    estimated across pairs.  The payoff is computed in place in the
+    depend on how the chunks are scheduled.  Paths are drawn in
+    antithetic pairs: the averaging unit is the pair mean and the
+    standard error is estimated across pairs.  The payoff is computed in place in the
     chunk's clock, normal and drift buffers, with the same operations in
     the same order as the plain expression, so it allocates no
     temporaries and gives the same bits.
     """
     _require_put(spec)
-    t0 = time.perf_counter()
     shape = spec.maturity / params.nu
-    units_total = (cfg.path_count + 1) // 2 if cfg.antithetic else cfg.path_count
-    unit_chunk = _MC_CHUNK // 2 if cfg.antithetic else _MC_CHUNK
+    units_total = (cfg.path_count + 1) // 2
+    unit_chunk = _MC_CHUNK // 2
     n_chunks = (units_total + unit_chunk - 1) // unit_chunk
     streams = np.random.SeedSequence(cfg.seed).spawn(n_chunks)
 
@@ -544,10 +541,9 @@ def price_put_mc(
         np.multiply(params.sigma, clock, out=clock)
         np.multiply(clock, z, out=z)
         units = _put_payoff(spec, np.add(drift, z, out=clock))
-        if cfg.antithetic:
-            pay_anti = _put_payoff(spec, np.subtract(drift, z, out=drift))
-            np.add(units, pay_anti, out=units)
-            np.multiply(0.5, units, out=units)
+        pay_anti = _put_payoff(spec, np.subtract(drift, z, out=drift))
+        np.add(units, pay_anti, out=units)
+        np.multiply(0.5, units, out=units)
         total += float(units.sum())
         total_sq += float(np.square(units, out=z).sum())
         done += m
@@ -558,7 +554,7 @@ def price_put_mc(
         stderr = math.sqrt(var / units_total)
     else:
         stderr = float("inf")
-    return PriceQuote(mean, "mc", stderr, time.perf_counter() - t0)
+    return PriceQuote(mean, "mc", stderr)
 
 
 def _put_payoff(spec: OptionSpec, log_return: np.ndarray) -> np.ndarray:
@@ -574,3 +570,41 @@ def call_from_put(put: float, spot: float, strike: float) -> float:
     if put < 0.0:
         raise ValueError(f"put price must be non-negative, got {put!r}")
     return put + spot - strike
+
+
+# ---------------------------------------------------------------------------
+# entry point
+
+
+def price(
+    spec: OptionSpec,
+    params: VgParams,
+    method: str = "cgz",
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    mc: McConfig = McConfig(),
+    *,
+    tables: dict | None = None,
+) -> PriceQuote:
+    """Price ``spec`` (put or call) with one of ``METHODS``, timed.
+
+    A call is the put of the same contract plus parity
+    (``call_from_put``).  ``cfg`` reaches the three deterministic
+    routes, ``mc`` the Monte Carlo one, and ``tables`` is the ``cgz``
+    memo of ``price_put_cgz``.  The quote's ``elapsed`` is the wall time
+    of the put pricer on a monotonic clock.
+    """
+    put = spec if spec.side == "put" else replace(spec, side="put")
+    t0 = time.perf_counter()
+    if method == "cgz":
+        quote = price_put_cgz(put, params, cfg, tables=tables)
+    elif method == "mixture":
+        quote = price_put_mixture(put, params, cfg)
+    elif method == "fourier":
+        quote = price_put_fourier(put, params, cfg)
+    elif method == "mc":
+        quote = price_put_mc(put, params, mc)
+    else:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    elapsed = time.perf_counter() - t0
+    value = quote.value if put is spec else call_from_put(quote.value, spec.spot, spec.strike)
+    return PriceQuote(value, method, quote.diagnostics, elapsed, spec.side)

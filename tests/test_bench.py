@@ -26,7 +26,6 @@ from vgpricer.bench import (
     builtin_table_rows,
     emit_report,
     np_seed_for_row,
-    run_builtin_table,
     run_scenarios,
 )
 
@@ -62,7 +61,7 @@ def test_unknown_table_id():
 
 
 def test_run_builtin_table_prices_match_references():
-    report = run_builtin_table("T1", methods=FAST)
+    report = run_scenarios(builtin_table_rows("T1", FAST))
     assert report.error_count == 0
     assert len(report.rows) == 5
     for r in report.rows:
@@ -165,6 +164,21 @@ def test_repetitions_report_median_timing():
     assert q.elapsed > 0.0
     with pytest.raises(ValueError):
         run_scenarios(rows, repetitions=0)
+
+
+def test_row_time_is_the_median_of_the_quotes_elapsed(monkeypatch):
+    import vgpricer.bench as bench
+
+    # the first call is the warm-up and is discarded
+    elapsed = iter([9.0, 1.0, 5.0, 3.0, 4.0, 8.0, 2.0, 6.0])
+
+    def fake_price(spec, params, method, cfg=None, mc=None, *, tables=None):
+        return pricing.PriceQuote(1.0, method, None, next(elapsed))
+
+    monkeypatch.setattr(bench, "price", fake_price)
+    rows = builtin_table_rows("T1", methods=("cgz",))[:2]
+    report = run_scenarios(rows, repetitions=3)
+    assert [r.quotes["cgz"].elapsed for r in report.rows] == [3.0, 6.0]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +302,7 @@ def test_repetitions_time_each_rows_own_extension():
 
 
 def _small_report() -> BenchReport:
-    return run_builtin_table("T3", methods=FAST)
+    return run_scenarios(builtin_table_rows("T3", FAST))
 
 
 def test_csv_layout():
@@ -318,8 +332,8 @@ def test_csv_is_deterministic_up_to_timing():
     def strip_elapsed(text: str) -> list[str]:
         return [line.rsplit(",", 1)[0] for line in text.strip().split("\n")]
 
-    a = emit_report(run_builtin_table("T5", methods=("cgz",)), "csv")
-    b = emit_report(run_builtin_table("T5", methods=("cgz",)), "csv")
+    a = emit_report(run_scenarios(builtin_table_rows("T5", ("cgz",))), "csv")
+    b = emit_report(run_scenarios(builtin_table_rows("T5", ("cgz",))), "csv")
     assert strip_elapsed(a) == strip_elapsed(b)
 
 

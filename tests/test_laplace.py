@@ -24,11 +24,10 @@ from vgpricer import (
     eval_m_exponential_part,
     extend_to_level,
     log_bessel_series,
-    make_vg_params,
     theta_roots,
 )
 
-P = make_vg_params(0.1, 0.2)
+P = VgParams(0.1, 0.2)
 LAM = 5.0
 K = 20.0
 

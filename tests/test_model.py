@@ -1,17 +1,14 @@
-"""Parameter objects and the gamma clock law."""
+"""Parameter objects and option contracts."""
 
 import math
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.stats import gamma as gamma_dist
 
-from vgpricer import GammaTimeLaw, OptionSpec, VgParams, gamma_maturity_density, make_vg_params
+from vgpricer import OptionSpec, VgParams
 
 
 def test_drift_is_derived_from_sigma():
-    p = make_vg_params(0.1, 0.2)
+    p = VgParams(0.1, 0.2)
     assert p.mu == -0.5 * 0.1**2
     assert p.sigma == 0.1 and p.nu == 0.2
 
@@ -26,7 +23,7 @@ def test_explicit_drift_must_match_martingale_value():
 
 
 def test_martingale_identity_on_clock_grid():
-    p = make_vg_params(0.3, 0.7)
+    p = VgParams(0.3, 0.7)
     for s in (0.01, 0.5, 1.0, 7.0):
         assert math.exp((p.mu + 0.5 * p.sigma**2) * s) == pytest.approx(1.0, abs=1e-15)
 
@@ -51,62 +48,3 @@ def test_option_spec_validation():
         OptionSpec(spot=18.0, strike=20.0, maturity=0.0)
     with pytest.raises(ValueError):
         OptionSpec(spot=18.0, strike=20.0, maturity=0.2, side="straddle")
-
-
-def test_maturity_law_moments():
-    law = GammaTimeLaw.from_maturity(0.6, 0.2)
-    assert law.shape == pytest.approx(3.0)
-    assert law.rate == pytest.approx(5.0)
-    assert law.mean == pytest.approx(0.6, rel=1e-15)
-    assert law.variance == pytest.approx(0.6 * 0.2, rel=1e-15)
-
-
-def test_density_unit_mean_exponential_case():
-    # shape 1, rate 1: plain exponential, f(1) = e^{-1}
-    law = GammaTimeLaw(shape=1.0, rate=1.0)
-    assert law.density(1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-
-def test_density_matches_reference_gamma_pdf():
-    for t, nu in [(0.1, 1.0), (0.5, 1.0), (0.2, 0.2), (0.4, 0.2), (1.0, 0.2), (0.1, 0.25)]:
-        s = np.linspace(0.01, 5.0, 57)
-        got = gamma_maturity_density(s, t, nu)
-        want = gamma_dist.pdf(s, t / nu, scale=nu)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
-
-
-@pytest.mark.parametrize("shape", [0.1, 0.5, 1.0, 2.0, 5.0])
-def test_density_integrates_to_one(shape):
-    nu = 0.5
-    t = shape * nu
-    law = GammaTimeLaw.from_maturity(t, nu)
-    upper = float(gamma_dist.ppf(1.0 - 1e-13, shape, scale=nu))
-    total, err = quad(lambda s: law.density(s), 0.0, upper, limit=200,
-                      epsabs=1e-12, epsrel=1e-11)
-    assert total == pytest.approx(1.0, abs=1e-8)
-
-
-def test_density_diverges_at_origin_for_small_shape():
-    # shape < 1: density grows without bound as s -> 0+, but stays finite for s > 0
-    vals = gamma_maturity_density(np.array([1e-2, 1e-4, 1e-6]), 0.1, 1.0)
-    assert np.all(np.diff(vals) > 0) and np.all(np.isfinite(vals))
-
-
-def test_density_domain_errors():
-    with pytest.raises(ValueError):
-        gamma_maturity_density(0.0, 0.5, 0.2)
-    with pytest.raises(ValueError):
-        gamma_maturity_density(np.array([0.5, -1.0]), 0.5, 0.2)
-    with pytest.raises(ValueError):
-        gamma_maturity_density(0.5, -0.1, 0.2)
-    with pytest.raises(ValueError):
-        gamma_maturity_density(0.5, 0.5, 0.0)
-
-
-def test_density_scalar_vs_array_agree():
-    law = GammaTimeLaw.from_maturity(0.3, 0.2)
-    s = np.array([0.1, 0.7, 2.0])
-    arr = law.density(s)
-    assert arr.shape == (3,)
-    for i, si in enumerate(s):
-        assert law.density(float(si)) == pytest.approx(arr[i], rel=1e-15)
