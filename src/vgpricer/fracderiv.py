@@ -30,7 +30,8 @@ rule (Takahasi & Mori 1974): y = 1/(1 + e^{-pi sinh t}) clusters nodes
 double-exponentially at both ends, which absorbs the y^{alpha-3} and
 (1-y)^{1-alpha} endpoint behaviour; the singularity at y = 0 is
 integrable because f''(x/y) decays there faster than y^{alpha-3} grows.
-The rule has fixed nodes, so f'' is evaluated on a whole array of them
+The rule has fixed nodes: their abscissa data is computed once per
+level for the whole process, f'' is evaluated on a whole array of them
 per call, and halving the step reuses every node already evaluated.
 """
 
@@ -59,15 +60,17 @@ _LOG_GAMMA_CUTOVER = 30.0
 # tanh-sinh abscissae span |t| <= _T_MAX, where y and 1 - y reach
 # e^-140 (~1e-61): beyond, even the slowest integrand the pricer hands in
 # (algebraic in y at the strike) is below round-off, and y^(alpha-2)
-# stays far from overflow.  Only |t| <= _T_CORE (y, 1 - y >= e^-46 ~ 1e-20)
-# is evaluated unless the terms there have not decayed: the nodes past it
-# (a quarter of the rule) sit at lam = x/y > 1e20 x, where the pricer's
-# integrand, the Bessel series of m^(n+2), is below round-off unless the
-# spot sits at the strike.
+# stays far from overflow.  The first call evaluates all of them, but
+# only |t| <= _T_CORE (y, 1 - y >= e^-46 ~ 1e-20) enters the sum unless
+# the terms there have not decayed: the nodes past it (a quarter of the
+# rule) sit at lam = x/y > 1e20 x, where the pricer's integrand, the
+# Bessel series of m^(n+2), is below round-off unless the spot sits at
+# the strike.  Evaluating them along costs less than a second call.
 _T_MAX = math.asinh(140.0 / math.pi)
 _T_CORE = math.asinh(46.0 / math.pi)
 # coarsest step of the rule, and the level (halvings of it) the first
-# f_second call reaches: one call then settles most integrands
+# f_second call reaches: one call then settles most integrands, and at
+# alpha < 0 it reaches one level further
 _H0 = 0.5
 _FIRST_LEVEL = 3
 # terms left out at either end add up to at most this share of the total
@@ -78,6 +81,10 @@ _ROUNDOFF = 64.0 * sys.float_info.epsilon
 # difference that has not settled is not going to settle; more nodes
 # would only cost memory
 _MAX_HALVINGS = 8
+
+# ``_rule``'s abscissa data, one entry per level: the nodes depend on the
+# level alone, so every call shares them
+_RULE: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -154,20 +161,48 @@ def frac_deriv_power(alpha: float, beta: float, lam: float) -> float:
     return -ratio * lam ** (-(alpha + beta))
 
 
-def _weighted_terms(f_second, alpha: float, x: float, t: np.ndarray) -> np.ndarray:
-    """Integrand times the tanh-sinh weight at abscissae t: one f_second call.
+def _rule(level: int) -> np.ndarray:
+    """The abscissa data of one level of the rule, built on first use.
+
+    Rows 1 + e^{-u}, log y, log(1 - y) and pi cosh t at t = step m, with
+    u = pi sinh t and step = _H0 / 2^level.  Up to _FIRST_LEVEL, m runs
+    over every integer with |t| <= _T_MAX (a first call's nodes); past
+    it, over the odd m only, the nodes a halving adds, out to the
+    _FIRST_LEVEL grid's last node.  The step is a power of two, so every
+    t is the float the rule reaches by halving.
+    """
+    nodes = _RULE.get(level)
+    if nodes is None:
+        step = _H0 / 2**level
+        if level <= _FIRST_LEVEL:
+            k_max = int(_T_MAX / step)
+            m = np.arange(-k_max, k_max + 1)
+        else:
+            half = int(_T_MAX / (_H0 / 2**_FIRST_LEVEL)) << (level - _FIRST_LEVEL)
+            m = np.arange(1 - half, half, 2)
+        t = step * m
+        u = math.pi * np.sinh(t)
+        nodes = np.array([
+            1.0 + np.exp(-u),
+            -np.logaddexp(0.0, -u),
+            -np.logaddexp(0.0, u),
+            math.pi * np.cosh(t),
+        ])
+        nodes.flags.writeable = False
+        _RULE[level] = nodes
+    return nodes
+
+
+def _weighted_terms(f_second, alpha: float, x: float, nodes: np.ndarray) -> np.ndarray:
+    """Integrand times the tanh-sinh weight at the abscissae whose
+    ``_rule`` columns are ``nodes``: one f_second call.
 
     y = 1 / (1 + e^{-u}) with u = pi sinh t, so dy/dt = pi cosh t y (1 - y);
     y and 1 - y come from their logarithms, exact at both ends.
     """
-    u = math.pi * np.sinh(t)
-    log_y = -np.logaddexp(0.0, -u)
-    log_rest = -np.logaddexp(0.0, u)
-    f2 = np.asarray(f_second(x * (1.0 + np.exp(-u))), dtype=float)
-    weight = math.pi * np.cosh(t) * np.exp(
-        (alpha - 2.0) * log_y + (2.0 - alpha) * log_rest
-    )
-    return weight * f2
+    scale, log_y, log_rest, pi_cosh = nodes
+    f2 = np.asarray(f_second(x * scale), dtype=float)
+    return pi_cosh * np.exp((alpha - 2.0) * log_y + (2.0 - alpha) * log_rest) * f2
 
 
 def frac_deriv_quadrature(
@@ -182,7 +217,10 @@ def frac_deriv_quadrature(
     value and slope decay fast enough that the two integrations by parts
     underlying the reduction carry no boundary terms.  It is called on a
     1-d numpy array of points and must return an array of the same
-    shape: once per level of the rule, on that level's new nodes only.
+    shape, never twice at one node of the rule.  The first call takes
+    levels 0..3 of the rule over the whole range (at alpha < 0 also
+    level 4); each later level takes one call on its new nodes inside
+    the range the earlier levels left.
 
     The rule is tanh-sinh on (0, 1).  Its step starts at 1/2 and halves
     until two successive sums differ by at most max(rel_tol |I|,
@@ -198,41 +236,45 @@ def frac_deriv_quadrature(
 
     prefactor = -(x ** (2.0 - alpha)) / math.gamma(2.0 - alpha)
 
-    # the first call covers levels 0.._FIRST_LEVEL at once on |t| <= _T_CORE;
-    # a side whose outermost term is not negligible gets one more call on
-    # the rest of its abscissae out to _T_MAX.  The range is then cut where
-    # the terms left out on either side add up to below _TAIL_RTOL of the
-    # total, keeping one such term per side as the edge for later levels.
+    # one f_second call covers levels 0.._FIRST_LEVEL at once, out to
+    # _T_MAX; a side keeps its nodes past _T_CORE only when its outermost
+    # core term is not negligible.  The range is then cut where the terms
+    # left out on either side add up to below _TAIL_RTOL of the total,
+    # keeping one such term per side as the edge for later levels.  At
+    # alpha < 0 the same call also takes the next level's nodes over the
+    # whole range, since those integrands often need that level.
     max_level = min(cfg.max_subdivisions, _MAX_HALVINGS)
     level = min(_FIRST_LEVEL, max_level)
     step = _H0 / 2**level
-    k_core, k_max = int(_T_CORE / step), int(_T_MAX / step)
-    k = np.arange(-k_core, k_core + 1)
-    terms = _weighted_terms(f_second, alpha, x, step * k)
-    edge = _TAIL_RTOL * np.abs(terms).sum()
-    outer = [np.arange(-k_max, -k_core)] if abs(terms[0]) > edge else []
-    if abs(terms[-1]) > edge:
-        outer.append(np.arange(k_core + 1, k_max + 1))
-    if outer:
-        k_out = np.concatenate(outer)
-        k = np.concatenate([k, k_out])
-        terms = np.concatenate([terms, _weighted_terms(f_second, alpha, x, step * k_out)])
-        order = np.argsort(k)
-        k, terms = k[order], terms[order]
+    nodes = _rule(level)
+    width = nodes.shape[1]
+    look_ahead = alpha < 0.0 and level < max_level
+    if look_ahead:
+        nodes = np.concatenate((nodes, _rule(level + 1)), axis=1)
+    terms = _weighted_terms(f_second, alpha, x, nodes)
+    terms, ahead = terms[:width], (terms[width:] if look_ahead else None)
     mags = np.abs(terms)
+    k_max, k_core = width // 2, int(_T_CORE / step)
+    first, last = k_max - k_core, k_max + k_core
+    edge = _TAIL_RTOL * mags[first : last + 1].sum()
+    first = 0 if mags[first] > edge else first
+    last = width - 1 if mags[last] > edge else last
+    terms, mags = terms[first : last + 1], mags[first : last + 1]
     lo, hi = 0, len(terms)
     tail_tol = _TAIL_RTOL * mags.sum()
     if tail_tol > 0.0:
-        left = int(np.searchsorted(np.cumsum(mags), tail_tol, side="right"))
-        right = int(np.searchsorted(np.cumsum(mags[::-1]), tail_tol, side="right"))
+        left = int(mags.cumsum().searchsorted(tail_tol, side="right"))
+        right = int(mags[::-1].cumsum().searchsorted(tail_tol, side="right"))
         lo, hi = max(left - 1, 0), hi - max(right - 1, 0)
     tail = step * float(mags[:lo].sum() + mags[hi:].sum())
-    terms, mags, k = terms[lo:hi], mags[lo:hi], k[lo:hi]
-    t_lo = step * k[0]
-    intervals = len(k) - 1
+    terms, mags = terms[lo:hi], mags[lo:hi]
+    # the range runs from column `first` of the first level's grid, whose
+    # node sits at k = first - k_max
+    first += lo
+    intervals = len(terms) - 1
 
     total, total_abs = float(terms.sum()), float(mags.sum())
-    prev = 2.0 * step * float(terms[k % 2 == 0].sum())
+    prev = 2.0 * step * float(terms[(first - k_max) % 2 :: 2].sum())
     value = step * total
     while True:
         diff = abs(value - prev)
@@ -245,9 +287,13 @@ def frac_deriv_quadrature(
             break
         level += 1
         step /= 2.0
-        terms = _weighted_terms(
-            f_second, alpha, x, t_lo + step * np.arange(1, 2 * intervals, 2)
-        )
+        # this level's new nodes inside the range, as columns of its rule
+        start = first << (level - _FIRST_LEVEL - 1)
+        new = slice(start, start + intervals)
+        if ahead is not None:
+            terms, ahead = ahead[new], None
+        else:
+            terms = _weighted_terms(f_second, alpha, x, _rule(level)[:, new])
         intervals *= 2
         total += float(terms.sum())
         total_abs += float(np.abs(terms).sum())

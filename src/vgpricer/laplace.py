@@ -458,14 +458,18 @@ def log_bessel_series(lam, z: float, params: VgParams, n: int) -> np.ndarray:
     (-1)^n (K sigma/sqrt(2 pi)) e^{-mu z/sigma^2} n! lam^{-(n+1)} times
     the exponential of this, so a caller can fold its own factors into
     one exponent per lam.  One pass of the three-term recurrence over
-    the whole array: O(n) numpy operations.
+    the whole array: O(n) numpy operations, each writing into a buffer
+    allocated before the loop.
 
-    The loop runs on the p_k scaled by e^shift (see ``_X_LO``) and the
-    shift leaves again in log space, so nothing overflows and p_0 does
-    not underflow before the terms it seeds become negligible.
+    Off the strike the loop runs on the p_k scaled by e^shift (see
+    ``_X_LO``) and the shift leaves again in log space, so nothing
+    overflows and p_0 does not underflow before the terms it seeds
+    become negligible.  At the strike (z = 0) p_0 = sqrt(pi)/(2 sqrt(s))
+    needs no shift and r = 0 drops the second addend of the recurrence,
+    so that branch skips both and returns the same floats.
     """
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim != 1 or not np.all((lam > 0.0) & np.isfinite(lam)):
+    if lam.ndim != 1 or (lam.size and not (lam.min() > 0.0 and math.isfinite(lam.max()))):
         raise ValueError("lam must be a 1-d array of positive finite values")
     if n < 0:
         raise ValueError(f"series level must be >= 0, got {n}")
@@ -473,9 +477,23 @@ def log_bessel_series(lam, z: float, params: VgParams, n: int) -> np.ndarray:
     s = lam + params.mu * params.mu / (2.0 * sig2)
     root_s = np.sqrt(s)
     a = abs(z) * math.sqrt(2.0) / params.sigma
+    prev = 0.5 * math.sqrt(math.pi) / root_s
+    if a == 0.0:
+        # at the strike e^(shift - x) = 1, and with r = 0 the second addend
+        # of every p_(k+1) is 0, so p_(k+1) = lam (k+1/2)/((k+1) s) p_k
+        total = prev.copy()
+        if n >= 1:
+            ratio = lam / s
+            cur = lam * (0.5 / s) * prev
+            total += cur
+            for k in range(1, n):
+                np.multiply((k + 0.5) / (k + 1), cur, out=cur)
+                np.multiply(ratio, cur, out=cur)
+                total += cur
+        return np.log(total, out=total)
     x = a * root_s
     shift = np.minimum(np.maximum(x - _X_LO, 0.0), _X_HI)
-    prev = 0.5 * math.sqrt(math.pi) / root_s * np.exp(shift - x)
+    prev *= np.exp(np.subtract(shift, x, out=x), out=x)
     total = prev.copy()
     if n >= 1:
         r = a / (2.0 * root_s)
@@ -483,12 +501,19 @@ def log_bessel_series(lam, z: float, params: VgParams, n: int) -> np.ndarray:
         lam_r2 = np.square(lam * r)
         cur = lam * (r + 0.5 / s) * prev
         total += cur
+        # p_(k+1) is built in a scratch buffer and the one p_(k-1) held
+        scratch = np.empty_like(total)
         for k in range(1, n):
             # each product is one positive addend of p_(k+1), so none overflows
-            prev, cur = cur, ratio * ((k + 0.5) / (k + 1) * cur) + lam_r2 * (prev / (k * (k + 1)))
+            np.multiply((k + 0.5) / (k + 1), cur, out=scratch)
+            np.multiply(ratio, scratch, out=scratch)
+            np.divide(prev, k * (k + 1), out=prev)
+            np.multiply(lam_r2, prev, out=prev)
+            np.add(scratch, prev, out=prev)
+            prev, cur = cur, prev
             total += cur
     # p_0 underflows only past a sqrt(s) ~ 1300, where for n <= 1000
     # every term is below e^-300 times its bound; -inf stands for that
     out = np.full(lam.shape, -np.inf)
     np.log(total, out=out, where=total > 0.0)
-    return out - shift
+    return np.subtract(out, shift, out=out)

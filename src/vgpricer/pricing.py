@@ -19,7 +19,7 @@
     K - S on the in-the-money side, and the exponentially decaying
     remainder through the f''-quadrature with f'' = (exponential part
     of) m^(n+2).  That is a tanh-sinh rule whose nodes lam0/y go
-    together, as one numpy array per level of the rule, through the
+    together, as one numpy array (usually one per price), through the
     positive half-integer Bessel series of the exponential part
     (``laplace.log_bessel_series``: the recurrence DLMF 10.29.1 on the
     transform A&S 29.3.84), so no level cap and no cancellation.
@@ -191,10 +191,16 @@ def vg_charfunc(u, t: float, params: VgParams):
     numpy array, on which the same expression runs elementwise.  For the
     complex arguments used by damped Fourier inversion the base stays in
     the right half-plane whenever nu sigma^2 a (a+1) / 2 < 1, so the
-    principal power is the correct branch.
+    principal power is the correct branch.  The power is taken as
+    exp(-(t/nu) log base): Python's ``**`` multiplies repeatedly for an
+    integral exponent up to 100, and that product overflows to inf (and
+    its reciprocal to nan) where the power itself is tiny.
     """
     w = 1j * u * params.mu - 0.5 * params.sigma**2 * u * u
-    return (1.0 - params.nu * w) ** (-t / params.nu)
+    base = 1.0 - params.nu * w
+    if isinstance(base, np.ndarray):
+        return np.exp(-(t / params.nu) * np.log(base))
+    return cmath.exp(-(t / params.nu) * cmath.log(base))
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +378,16 @@ def _fourier_call_damped(
     t = spec.maturity
     rel_strike = spec.log_spot - spec.log_strike  # log-moneyness m
 
+    # the sin-weighted QAWF call below revisits the cos-weighted call's nodes
+    seen: dict[float, complex] = {}
+
     def eta(v: float) -> complex:
-        u = v - 1j * (a + 1.0)
-        denom = a * a + a - v * v + 1j * (2.0 * a + 1.0) * v
-        return vg_charfunc(u, t, params) / denom
+        value = seen.get(v)
+        if value is None:
+            u = v - 1j * (a + 1.0)
+            denom = a * a + a - v * v + 1j * (2.0 * a + 1.0) * v
+            value = seen[v] = vg_charfunc(u, t, params) / denom
+        return value
 
     prefactor = spec.spot * math.exp(a * rel_strike) / math.pi
     # aim one order below the propagated target so the price error sits

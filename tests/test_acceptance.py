@@ -14,8 +14,10 @@ its stated tolerance:
   * the closed form prices a seeded sweep of the whole parameter box,
     integer and fractional t/nu up to 100, within 1e-9 K of the gamma
     mixture, and its quadrature error estimate covers that gap,
-  * and it prices fractional t/nu up to 1000 over a wider box
-    (sigma 0.03..1, nu 0.02..2, S/K 0.2..5) within 1e-9 K of the mixture.
+  * it prices fractional t/nu up to 1000 over a wider box
+    (sigma 0.03..1, nu 0.02..2, S/K 0.2..5) within 1e-9 K of the mixture,
+  * and the Fourier inversion prices every integer t/nu up to 100 within
+    1e-9 K of the closed form, without a warning.
 """
 
 import math
@@ -40,6 +42,7 @@ from vgpricer import (
     price_put_mc,
     price_put_mixture,
 )
+from vgpricer import fracderiv
 from vgpricer.bench import BUILTIN_TABLES, np_seed_for_row
 
 SWEEP_SEED = 20260818
@@ -304,11 +307,36 @@ def test_closed_form_prices_the_wide_fractional_box():
         assert a.diagnostics is not None  # the quadrature branch ran
         worst = max(worst, abs(a.value - b.value) / spec.strike)
         top_rho = max(top_rho, rho)
+    # the rule's abscissa data is built once per level and then shared
+    assert len(fracderiv._RULE) <= fracderiv._MAX_HALVINGS + 1
     _report(
         "cgz over the wide fractional box",
         worst <= 1e-9,
         f"max |cgz - mixture| = {worst:.2e} K <= 1e-9 K over 200 rows, "
         f"t/nu up to {top_rho:.1f}, no warnings",
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fourier_prices_every_integer_clock_up_to_100():
+    # an integral exponent -t/nu up to 100 once made the characteristic
+    # function a repeated product, which overflowed to inf and gave nan
+    params = VgParams(0.2, 0.3)
+    tables: dict = {}
+    worst = 0.0
+    count = 0
+    for rho in range(1, 101):
+        for moneyness in (1.0, 1.0005):
+            spec = OptionSpec(100.0 * moneyness, 100.0, rho * params.nu)
+            a = price_put_cgz(spec, params, tables=tables).value
+            b = price_put_fourier(spec, params).value  # must not raise or warn
+            worst = max(worst, abs(a - b) / spec.strike)
+            count += 1
+    _report(
+        "fourier at integer t/nu",
+        worst <= 1e-9,
+        f"max |fourier - cgz| = {worst:.2e} K <= 1e-9 K over {count} rows, "
+        "t/nu 1..100, no warnings",
     )
 
 

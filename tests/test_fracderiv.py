@@ -180,8 +180,8 @@ def test_quadrature_error_estimate_is_honest():
 
 
 def test_quadrature_evaluates_arrays_of_new_nodes_only():
-    # one f_second call per level on that level's new nodes; the error
-    # estimate never reads zero
+    # each node of the rule goes to f_second once, in a few array calls;
+    # the error estimate never reads zero
     calls = []
 
     def f2(t):

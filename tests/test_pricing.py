@@ -33,6 +33,7 @@ from vgpricer import (
     price_put_mixture,
     vg_charfunc,
 )
+from vgpricer import pricing
 
 P1 = VgParams(0.1, 0.2)    # reference set: near-strike puts
 P2 = VgParams(0.2, 0.25)   # deep out-of-the-money, short maturity
@@ -142,6 +143,21 @@ def test_charfunc_vectorizes():
     got = vg_charfunc(u, 0.5, P1)
     want = [vg_charfunc(float(ui), 0.5, P1) for ui in u]
     np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+def test_charfunc_at_an_integral_exponent_stays_finite():
+    # t/nu = 100: a repeated product of the base would overflow to inf
+    # and return nan, where the power itself is ~1e-318
+    u = 500.0 - 2.5j
+    params = VgParams(0.2, 0.3)
+    got = vg_charfunc(u, 30.0, params)
+    with mpmath.workdps(40):
+        w = 1j * mpmath.mpc(u) * mpmath.mpf(params.mu) - mpmath.mpf(0.2) ** 2 * mpmath.mpc(u) ** 2 / 2
+        want = complex((1 - mpmath.mpf(0.3) * w) ** -100)
+    assert got == pytest.approx(want, rel=1e-9)
+    arr = vg_charfunc(np.array([u, 1.0]), 30.0, params)
+    assert np.isfinite(arr).all()
+    assert arr[0] == pytest.approx(got, rel=1e-14)
 
 
 def test_charfunc_on_the_fourier_contour_against_mpmath():
@@ -324,6 +340,25 @@ def test_fourier_failure_names_every_damping_exponent():
     assert message.index("1.5") < message.index("0.75") < message.index("2.5")
 
 
+def test_fourier_evaluates_each_node_once(monkeypatch):
+    # off the money the sin-weighted QAWF call revisits the cos-weighted
+    # call's nodes; each damping call evaluates the integrand once per node
+    seen = []
+    charfunc = pricing.vg_charfunc
+
+    def recording(u, t, params):
+        seen.append(u)
+        return charfunc(u, t, params)
+
+    monkeypatch.setattr(pricing, "vg_charfunc", recording)
+    spec, params = _spec(90.0, 100.0, 0.73), VgParams(0.3, 0.4)
+    q = price_put_fourier(spec, params)
+    assert len(seen) > 100
+    assert len(set(seen)) == len(seen)
+    monkeypatch.undo()
+    assert q == price_put_fourier(spec, params)
+
+
 def test_fourier_ladder_brackets_single_strike_prices():
     strikes, puts = fourier_put_ladder(18.0, 0.5, P1)
     assert strikes.shape == puts.shape == (4096,)
@@ -402,6 +437,53 @@ def test_mc_values_are_frozen(key):
     spec, params = MC_CONTRACTS[idx]
     q = price_put_mc(spec, params, McConfig(paths, seed=11 + idx))
     assert (q.value.hex(), q.diagnostics.hex()) == MC_FROZEN[key]
+
+
+# fractional-t/nu cgz, frozen as float.hex so that any change to the
+# tanh-sinh rule or the Bessel series in the last bits shows; each row
+# also fixes how many series evaluations (f_second calls) it takes
+TIGHT = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
+CGZ_FRACTIONAL_FROZEN = [
+    # (S, K, t), (sigma, nu), cfg: value, diagnostics, series calls
+    # t/nu 0.06 at the money: the first call's nodes past _T_CORE are used
+    ((100.0, 100.0, 0.021), (0.25, 0.35), None,
+     "0x1.29194a18cb64fp-1", "0x1.291b020b316f6p-47", 1),
+    # t/nu 0.05 off the money: settles at level 4, taken in the first call
+    ((110.0, 100.0, 0.03), (0.15, 0.6), None,
+     "0x1.aad49c70bf793p-5", "0x1.aad8e91d6be14p-51", 1),
+    ((90.0, 100.0, 0.12), (0.2, 0.3), None,
+     "0x1.4a4cf300ffc39p+3", "0x1.d23bea59f078bp-37", 1),
+    # t/nu 0.02 at a tight tolerance: level 5 takes a second call
+    ((99.9, 100.0, 0.01), (0.3, 0.5), TIGHT,
+     "0x1.8700da9e716b7p-2", "0x1.209ae67f71873p-48", 2),
+    ((95.0, 100.0, 6.09), (0.2, 0.3), None,
+     "0x1.57c68289fb1a0p+4", "0x1.97a3e38bef2ddp-39", 1),
+    ((100.0, 100.0, 6.15), (0.2, 0.3), None,
+     "0x1.3764f6538d66ap+4", "0x1.820280ad57e43p-40", 1),
+    # t/nu 497.3: order 0.3 >= 0 does not evaluate level 4 ahead, and
+    # this row needs it
+    ((104.0, 100.0, 9.946), (0.2, 0.02), None,
+     "0x1.749a422d50b91p+4", "0x1.3bcae6c18b9f3p-39", 2),
+    # deep out of the money: a sqrt(s) passes 600, so the series shifts
+    ((1000.0, 100.0, 2.5), (0.1, 0.3), None,
+     "0x1.6c52651730e2cp-60", "0x1.5feb43632cf6ep-94", 1),
+]
+
+
+@pytest.mark.parametrize("row", CGZ_FRACTIONAL_FROZEN, ids=lambda r: "-".join(map(str, r[0])))
+def test_fractional_cgz_values_are_frozen(row, monkeypatch):
+    (spot, strike, t), (sigma, nu), cfg, value, diag, want_calls = row
+    calls = []
+    series = pricing.log_bessel_series
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(pricing, "log_bessel_series", counted)
+    q = price_put_cgz(_spec(spot, strike, t), VgParams(sigma, nu), cfg or QuadratureConfig())
+    assert (q.value.hex(), q.diagnostics.hex()) == (value, diag)
+    assert len(calls) == want_calls
 
 
 def test_mc_degenerate_clock_recovers_black_scholes():
