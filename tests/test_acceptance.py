@@ -307,8 +307,13 @@ def test_closed_form_prices_the_wide_fractional_box():
         assert a.diagnostics is not None  # the quadrature branch ran
         worst = max(worst, abs(a.value - b.value) / spec.strike)
         top_rho = max(top_rho, rho)
-    # the rule's abscissa data is built once per level and then shared
-    assert len(fracderiv._RULE) <= fracderiv._MAX_HALVINGS + 1
+    # the rule's abscissa data is built once per level and then reused:
+    # pricing a row again adds no level and rebuilds none
+    built = dict(fracderiv._RULE)
+    again = price_put_cgz(spec, params)
+    assert (again.value, again.diagnostics) == (a.value, a.diagnostics)
+    assert fracderiv._RULE.keys() == built.keys()
+    assert all(fracderiv._RULE[level] is nodes for level, nodes in built.items())
     _report(
         "cgz over the wide fractional box",
         worst <= 1e-9,

@@ -52,13 +52,33 @@ def test_worse_beyond_the_bound_and_unresolved_when_the_spread_is_wider():
     s = summarize(noisy, [v * 0.98 for v in noisy], "higher", 0.25)
     assert s["verdict"] == "unresolved"
     # unless every run of the change reads better than every parent run
-    parent = [1.0, 1.0, 1.0, 10.0, 10.0, 10.0]
-    s = summarize(parent, [10.5] * 6, "higher", 0.1)
-    assert (s["wins"], s["verdict"]) == ("6/6", "within bound")
+    parent = [1.0] * 5 + [10.0] * 5
+    s = summarize(parent, [10.5] * 10, "higher", 0.1)
+    assert (s["wins"], s["verdict"]) == ("10/10", "within bound")
 
 
-def test_needs_pairs():
+def test_needs_ten_pairs():
+    # five wins out of five would pass the 9/10 share: too few pairs
     with pytest.raises(ValueError):
-        summarize([1.0], [2.0], "higher", 0.1)
+        summarize(PARENT[:5], [p * 1.2 for p in PARENT[:5]], "higher", 0.25)
     with pytest.raises(ValueError):
-        summarize([1.0, 2.0], [2.0], "higher", 0.1)
+        summarize(PARENT, PARENT[:9], "higher", 0.25)
+
+
+def _runs(change_failed, change_correct=True):
+    metrics = [{"name": "prices_per_s", "better": "higher", "bound": 0.25}]
+    runs = [
+        {"parent": {"correct": True, "attempted": 1000, "failed": 1,
+                    "metrics": {"prices_per_s": p}},
+         "change": {"correct": change_correct, "attempted": 1000, "failed": change_failed,
+                    "metrics": {"prices_per_s": 1.2 * p}}}
+        for p in PARENT
+    ]
+    return bench_pairs.summarize_runs(runs, metrics)
+
+
+def test_a_gain_is_void_when_the_change_fails_more_or_is_not_correct():
+    assert _runs(change_failed=1)["prices_per_s"]["verdict"] == "gain"
+    assert _runs(change_failed=0)["prices_per_s"]["verdict"] == "gain"
+    assert _runs(change_failed=2)["prices_per_s"]["verdict"] == "gain void"
+    assert _runs(change_failed=1, change_correct=False)["prices_per_s"]["verdict"] == "gain void"

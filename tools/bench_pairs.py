@@ -1,17 +1,19 @@
 """Alternating parent/change pairs of benchmark runs, summarised in one file.
 
     python3 tools/bench_pairs.py --label NAME --parent HEAD \\
-        --workloads frac_ladders,exact_book --pairs 10 --seed 1001
+        --workloads frac_ladders,exact_book --seed 1001
 
 The change side is this checkout's working tree.  The parent side is
 the committed files of ``--parent``, extracted with ``git archive`` into
 a temporary directory that is removed on exit (an extracted tree leaves
-nothing behind in ``.git``, even when the runner is killed).  Pair i
-runs
+nothing behind in ``.git``, even when the runner is killed).  Each
+workload gets ten pairs, the fewest the gain rule below accepts; pair i
+(i = 0..9) runs
 
     python3 perfbench/run.py --workload W --seed SEED+i --seconds T --trace 0
 
-in both trees, both sides on the same seed; the parent runs first in
+in both trees, with T the ``run_seconds`` of ``BENCHMARK.json`` and both
+sides on the same seed; the parent runs first in
 even pairs and the change first in odd ones, so a drift of the
 machine's speed falls on both sides alike.
 
@@ -29,7 +31,10 @@ neither side) and a verdict:
 * ``unresolved``: neither, and the parent's quartile spread is wider
   than the bound, unless every run of the change reads better than
   every run of the parent;
-* ``within bound``: otherwise.
+* ``within bound``: otherwise;
+* ``gain void``: the metric alone reads as a gain, but a run of the
+  change was not correct or the change failed a larger share of its
+  prices than the parent.
 
 The file also records the seeds, the command, the CPU count and the
 Python, numpy and SciPy versions.  Standard library only.
@@ -51,14 +56,15 @@ from importlib import metadata
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 300
+PAIRS = 10
 GAIN_SHARE = 0.9
 
 
 def summarize(parent: list[float], change: list[float], better: str,
               bound: float | None) -> dict:
     """Compare one metric over pairs: parent[i] and change[i] come from pair i."""
-    if len(parent) != len(change) or len(parent) < 2:
-        raise ValueError("need at least two pairs, with one value per side each")
+    if len(parent) != len(change) or len(parent) < PAIRS:
+        raise ValueError(f"need at least {PAIRS} pairs, with one value per side each")
     sign = 1.0 if better == "higher" else -1.0
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0.0)
     # quartiles as ``perfbench/run.py --repeat`` computes them
@@ -120,6 +126,33 @@ def _versions() -> dict:
     }
 
 
+def summarize_runs(runs: list[dict], metrics: list[dict]) -> dict:
+    """Summarise every metric over the pairs of one workload.
+
+    A gain is void when a run of the change was not correct or the
+    change failed a larger share of its prices than the parent.
+    """
+    summary = {
+        m["name"]: summarize([r["parent"]["metrics"][m["name"]] for r in runs],
+                             [r["change"]["metrics"][m["name"]] for r in runs],
+                             m["better"], m.get("bound"))
+        for m in metrics
+    }
+    share = {side: sum(r[side]["failed"] for r in runs)
+             / sum(r[side]["attempted"] for r in runs)
+             for side in ("parent", "change")}
+    void = (not all(r["change"]["correct"] for r in runs)
+            or share["change"] > share["parent"])
+    for s in summary.values():
+        if void and s["verdict"] == "gain":
+            s["verdict"] = "gain void"
+    summary["failed_share"] = summarize(
+        [r["parent"]["failed"] / r["parent"]["attempted"] for r in runs],
+        [r["change"]["failed"] / r["change"]["attempted"] for r in runs],
+        "lower", None)
+    return summary
+
+
 def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
               metrics: list[dict]) -> dict:
     """Alternate the two trees over ``seeds``; summarise every metric."""
@@ -135,17 +168,7 @@ def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
             print(f"{workload} seed {seed} {side}: prices_per_s "
                   f"{run[side]['metrics']['prices_per_s']:.5g}", file=sys.stderr, flush=True)
         runs.append(run)
-    summary = {
-        m["name"]: summarize([r["parent"]["metrics"][m["name"]] for r in runs],
-                             [r["change"]["metrics"][m["name"]] for r in runs],
-                             m["better"], m.get("bound"))
-        for m in metrics
-    }
-    summary["failed_share"] = summarize(
-        [r["parent"]["failed"] / r["parent"]["attempted"] for r in runs],
-        [r["change"]["failed"] / r["change"]["attempted"] for r in runs],
-        "lower", None)
-    return {"runs": runs, "metrics": summary}
+    return {"runs": runs, "metrics": summarize_runs(runs, metrics)}
 
 
 def main(argv=None) -> int:
@@ -153,15 +176,12 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        metrics = json.load(fh)["end_to_end"]
-    seeds = list(range(args.seed, args.seed + args.pairs))
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    seeds = list(range(args.seed, args.seed + PAIRS))
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     doc = {"workloads": {}}
     if os.path.exists(path):
@@ -172,16 +192,17 @@ def main(argv=None) -> int:
         _extract(parent_sha, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in args.workloads.split(","):
-            result = run_pairs(trees, workload, seeds, args.seconds, metrics)
-            doc["workloads"][workload] = {"seeds": seeds, "seconds": args.seconds,
+            result = run_pairs(trees, workload, seeds, seconds, metrics)
+            doc["workloads"][workload] = {"seeds": seeds, "seconds": seconds,
                                           "parent": parent_sha, **result}
             doc.update({
                 "label": args.label,
                 "change": "working tree of " + _git("rev-parse", "HEAD").decode().strip(),
                 "command": "python3 perfbench/run.py --workload W --seed S "
                            "--seconds T --trace 0",
-                "rule": "gain: change wins >= 9/10 pairs and the medians differ "
-                        "by more than the parent's quartile spread",
+                "rule": "gain: change wins >= 9/10 pairs, the medians differ by "
+                        "more than the parent's quartile spread, every change run "
+                        "is correct and the change fails no larger share",
                 "machine": _versions(),
             })
             with open(path, "w") as fh:
