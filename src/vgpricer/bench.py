@@ -221,9 +221,9 @@ def run_scenarios(
     ``price_put_cgz``): an integer-t/nu row extends the table of its
     (strike, sigma, nu) from the deepest level an earlier row built,
     with the same prices as unshared calls.  Each repetition of a row
-    starts from the memo as it stood before that row, so the timing
-    covers the row's own share of the recursion.  The memo lives for
-    this call only.
+    starts from that row's table as it stood before the row, so the
+    timing covers the row's own share of the recursion.  The memo lives
+    for this call only.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -259,14 +259,16 @@ def np_seed_for_row(seed: int, row_index: int) -> int:
 
 
 def _median_quote(method, spec, params, cfg, seed, mc_paths, repetitions, tables):
-    memo: dict = {}  # the cgz tables as this row's last repetition left them
+    key = (spec.strike, params)
+    start = {key: tables[key]} if key in tables else {}  # only this row's table
+    memo: dict = {}  # the table as this row's last repetition left it
     if method == "mc":
         mc = McConfig(path_count=mc_paths, seed=seed)
         call = lambda: price(spec, params, "mc", mc=mc)  # noqa: E731
     else:
         def call():
             memo.clear()
-            memo.update(tables)
+            memo.update(start)
             return price(spec, params, method, cfg, tables=memo)
     if repetitions > 1:
         call()  # warm-up, excluded from timing

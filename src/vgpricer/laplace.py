@@ -54,10 +54,12 @@ overflow already at theta ~ 30 (typical for lam = 5, sigma = 0.1).
 Coefficient tables are built level by level in double precision up to
 ``MAX_LEVEL``.  The power-law factor (-1)^n n!/lam^{n+1} is carried as a
 running product, so it underflows gracefully at huge lam instead of
-overflowing in lam^{n+1}.  If the C^1 slope residual of a freshly built
-level exceeds 1e-9 relative (deep factorial cancellation at high
-levels), the stack is rebuilt in extended precision via mpmath and
-flagged in ``extended``.
+overflowing in lam^{n+1}.  Every new level must pass a C^1 check: a
+level whose slope residual at the strike exceeds 1e-9 relative (deep
+factorial cancellation at high levels) raises ``ArithmeticError``.
+Where the tables do not reach, past ``MAX_LEVEL`` or past a level that
+fails the check, the integer-t/nu price comes from the Bessel series
+below instead.
 
 Level n only needs level n-1, so a table is extended incrementally:
 ``extend_to_level`` continues the recursion from a table's top level
@@ -91,11 +93,13 @@ turns into one for the p_k:
     p_{k+1} = lam (k+1/2)/((k+1) s) p_k + lam^2 r^2/(k(k+1)) p_{k-1}.
 
 Every term is positive, so the sum has no cancellation and needs no
-C^1 check, no mpmath and no level cap.  ``log_bessel_series`` evaluates
-its logarithm over an array of lam in O(n): this is how the
+C^1 check and no level cap.  ``log_bessel_series`` evaluates its
+logarithm over an array of lam in O(n): this is how the
 fractional-derivative quadrature of ``price_put_cgz`` evaluates
-m^(n+2) at all of its nodes.  It is the half-integer Bessel structure
-behind the closed form of Madan, Carr & Chang (1998).
+m^(n+2) at all of its nodes, and how it prices an integer t/nu that the
+tables do not reach, on the one node lam = 1/nu.  It is the
+half-integer Bessel structure behind the closed form of Madan, Carr &
+Chang (1998).
 """
 
 from __future__ import annotations
@@ -122,11 +126,8 @@ __all__ = [
 
 MAX_LEVEL = 100
 
-# relative C^1 slope residual above which a level triggers the
-# extended-precision rebuild
+# relative C^1 slope residual above which a level fails the check
 _C1_RTOL = 1e-9
-
-_MP_DPS = 60
 
 # log_bessel_series runs its recurrence on p_k e^shift with shift =
 # a sqrt(s) - _X_LO clipped to [0, _X_HI]: p_0 e^shift stays at or above
@@ -169,7 +170,6 @@ class CoeffTable:
     the in-the-money branch (x <= log K, i = 1) and the out-of-the-money
     branch (x > log K, i = 2).  The power-law terms on the ITM branch,
     (-1)^n n! (K - e^x)/lam^{n+1}, are ``power_law[n] * (K - e^x)``.
-    ``extended`` flags a table rebuilt in extended precision.
     Immutable; extension returns a new table.
     """
 
@@ -180,7 +180,6 @@ class CoeffTable:
     levels_itm: tuple[tuple, ...]
     levels_otm: tuple[tuple, ...]
     power_law: tuple
-    extended: bool = False
 
     @property
     def max_level(self) -> int:
@@ -220,7 +219,6 @@ def _next_tail(prev, jw, sig2, n):
 
     ``jw[j]`` is j * w_i.  Index k of the returned list holds a_{i(k+1)};
     slot 0 (the constant a_{i1}) is filled by C^1 matching afterwards.
-    Works unchanged on floats and mpmath numbers.
     """
     cur = [None] * (n + 1)
     for j in range(n, 0, -1):
@@ -231,27 +229,31 @@ def _next_tail(prev, jw, sig2, n):
     return cur
 
 
-def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None, base=None):
-    """Coefficients and power-law factors of both branches up to level
-    max_n; generic over float / mpmath.
+def _check_lam(lam: float) -> None:
+    if not (lam > 0.0) or not math.isfinite(lam):
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
 
-    Starts at level 0, or, given the float table ``base``, continues the
-    recursion from its top level and returns only the levels above it.
+
+def _check_level(n: int) -> None:
+    if not 0 <= n <= MAX_LEVEL:
+        raise ValueError(f"level must be between 0 and {MAX_LEVEL}, got {n}")
+
+
+def _grow(lam: float, strike: float, params: VgParams, max_level: int, base=None) -> CoeffTable:
+    """Levels 0..max_level at lam: built from level 0, or the recursion
+    continued from the top level of ``base``.
+
     The power-law factor (-1)^n n!/lam^(n+1) is a running product, so no
-    lam^(n+1) can overflow.  Returns (th1, th2, levels1, levels2, powers).
+    lam^(n+1) can overflow.  Only the new levels go through the C^1
+    check, since the levels of ``base`` passed it when they were built.
+    The first that fails it raises ``ArithmeticError``: factorial
+    cancellation has broken double precision there.  An extension raises
+    at the same level, with the same message, as a fresh build.
     """
-    if mp_ctx is None:
-        mu = params.mu
-        sig2 = params.sigma * params.sigma
-        lam_ = lam
-        strike_ = strike
-    else:
-        mu = mp_ctx.mpf(params.mu)
-        sig2 = mp_ctx.mpf(params.sigma) ** 2
-        lam_ = mp_ctx.mpf(lam)
-        strike_ = mp_ctx.mpf(strike)
+    mu = params.mu
+    sig2 = params.sigma * params.sigma
     if base is None:
-        disc = (mu * mu + 2.0 * lam_ * sig2) ** 0.5
+        disc = (mu * mu + 2.0 * lam * sig2) ** 0.5
         th1 = (-mu + disc) / sig2
         th2 = (-mu - disc) / sig2
         first, prev1, prev2, power = 0, None, None, None
@@ -265,102 +267,52 @@ def _build_levels(lam, strike, params: VgParams, max_n: int, mp_ctx=None, base=N
     if w1 == 0 or w2 == 0:
         # impossible for lam > 0 (w_i = +-sqrt(mu^2 + 2 lam sigma^2))
         raise ArithmeticError("degenerate characteristic roots: mu + sigma^2 theta = 0")
-    jw1 = [j * w1 for j in range(max_n + 1)]
-    jw2 = [j * w2 for j in range(max_n + 1)]
+    jw1 = [j * w1 for j in range(max_level + 1)]
+    jw2 = [j * w2 for j in range(max_level + 1)]
 
-    levels1: list[list] = []
-    levels2: list[list] = []
+    levels1: list[tuple] = []
+    levels2: list[tuple] = []
     powers: list = []
-    for n in range(first, max_n + 1):
+    for n in range(first, max_level + 1):
         if n == 0:
-            power = 1.0 / lam_
-            a0 = strike_ / (lam_ * (th1 - th2))
+            power = 1.0 / lam
+            a0 = strike / (lam * (th1 - th2))
             cur1, cur2 = [a0], [a0]
         else:
-            power = power * -n / lam_
+            power = power * -n / lam
             cur1 = _next_tail(prev1, jw1, sig2, n)
             cur2 = _next_tail(prev2, jw2, sig2, n)
-            a = (cur2[1] - cur1[1] + power * strike_) / (th1 - th2)
+            a = (cur2[1] - cur1[1] + power * strike) / (th1 - th2)
             cur1[0] = a
             cur2[0] = a
-        levels1.append(cur1)
-        levels2.append(cur2)
+        levels1.append(tuple(cur1))
+        levels2.append(tuple(cur2))
         powers.append(power)
         prev1, prev2 = cur1, cur2
-    return th1, th2, levels1, levels2, powers
-
-
-def _extended_levels(lam: float, strike: float, params: VgParams, max_n: int):
-    """_build_levels from level 0 at _MP_DPS digits, rounded back to floats."""
-    import mpmath
-
-    with mpmath.workdps(_MP_DPS):
-        th1, th2, lv1, lv2, pw = _build_levels(
-            lam, strike, params, max_n, mp_ctx=mpmath
-        )
-        return (
-            float(th1),
-            float(th2),
-            [[float(c) for c in cs] for cs in lv1],
-            [[float(c) for c in cs] for cs in lv2],
-            [float(p) for p in pw],
-        )
-
-
-def _check_lam(lam: float) -> None:
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-
-
-def _check_level(n: int) -> None:
-    if not 0 <= n <= MAX_LEVEL:
-        raise ValueError(f"level must be between 0 and {MAX_LEVEL}, got {n}")
-
-
-def _table(lam: float, strike: float, params: VgParams, built, extended, base=None) -> CoeffTable:
-    """CoeffTable from _build_levels output, its levels appended to those
-    of ``base`` (tuple concatenation: the old levels are not copied)."""
-    th1, th2, lv1, lv2, pw = built
-    return CoeffTable(
+    # tuple concatenation: the levels of ``base`` are not copied
+    table = CoeffTable(
         lam=lam,
         strike=strike,
         params=params,
         roots=ThetaRoots(th1, th2),
-        levels_itm=(base.levels_itm if base else ()) + tuple(tuple(c) for c in lv1),
-        levels_otm=(base.levels_otm if base else ()) + tuple(tuple(c) for c in lv2),
-        power_law=(base.power_law if base else ()) + tuple(pw),
-        extended=extended,
+        levels_itm=(base.levels_itm if base else ()) + tuple(levels1),
+        levels_otm=(base.levels_otm if base else ()) + tuple(levels2),
+        power_law=(base.power_law if base else ()) + tuple(powers),
     )
-
-
-def _grow(lam: float, strike: float, params: VgParams, max_level: int, base=None) -> CoeffTable:
-    """Levels 0..max_level at lam: built from level 0, or the float
-    recursion continued from the top level of ``base``.
-
-    Only the new levels go through the C^1 check, since the levels of
-    ``base`` passed it when they were built.  A table that fails it at
-    any level, or whose ``base`` is already ``extended``, is rebuilt
-    from level 0 in mpmath, exactly as a fresh build would.
-    """
-    first = 0 if base is None else base.max_level + 1
-    extended = False if base is None else base.extended
-    built = _build_levels(lam, strike, params, max_level, base=base)
-    plain = _table(lam, strike, params, built, extended, base)
-    if not extended and all(
-        plain.c1_residual(n) <= _C1_RTOL for n in range(first, max_level + 1)
-    ):
-        return plain
-    # factorial cancellation broke double precision; redo in mpmath once
-    built = _extended_levels(lam, strike, params, max_level)
-    return _table(lam, strike, params, built, extended=True)
+    for n in range(first, max_level + 1):
+        residual = table.c1_residual(n)
+        if not residual <= _C1_RTOL:
+            raise ArithmeticError(
+                f"level {n} fails the C^1 check: slope residual {residual!r} > {_C1_RTOL!r}"
+            )
+    return table
 
 
 def build_coeff_table(lam: float, strike: float, params: VgParams, max_level: int = 0) -> CoeffTable:
     """Build the coefficient table for levels 0..max_level at this lam.
 
-    Double precision first; a table whose C^1 slope residual exceeds
-    tolerance at some level is rebuilt in extended precision and
-    flagged in ``extended``.
+    Double precision throughout.  Raises ``ArithmeticError`` at the
+    first level whose C^1 slope residual exceeds tolerance.
     """
     _check_lam(lam)
     if not (strike > 0.0) or not math.isfinite(strike):
@@ -376,9 +328,10 @@ def extend_to_level(table: CoeffTable, n: int) -> CoeffTable:
     table that continues the recursion from ``table``'s top level, so
     the cost is that of the new levels only.  The result is
     bit-identical to ``build_coeff_table(table.lam, table.strike,
-    table.params, n)``, mpmath fallback included.  This is how one
-    table per (strike, sigma, nu) serves every integer-t/nu ``cgz`` row
-    that shares it.
+    table.params, n)``, and a new level that fails the C^1 check raises
+    the same ``ArithmeticError`` as that build.  This is how one table
+    per (strike, sigma, nu) serves every integer-t/nu ``cgz`` row that
+    shares it.
     """
     _check_level(n)
     if n <= table.max_level:

@@ -11,9 +11,11 @@
             * D^{rho-1-n} m^(n)(lam, log S) |_{lam = 1/nu},
 
     which is fully closed-form when rho is a positive integer
-    (D^0 = -identity), read from the coefficient table of m at level n,
-    and needs one well-behaved quadrature otherwise.  For rho < 1 the
-    same expression is used with n = 0 and a negative order rho - 1.
+    (D^0 = -identity), read from the coefficient table of m at level n
+    where the float tables reach it and from the Bessel series below
+    elsewhere, and needs one well-behaved quadrature otherwise.  For
+    rho < 1 the same expression is used with n = 0 and a negative order
+    rho - 1.
     The fractional derivative splits exactly: the power-law terms of
     m^(n) go through the power rule, which returns the intrinsic value
     K - S on the in-the-money side, and the exponentially decaying
@@ -58,7 +60,7 @@ from .fracderiv import (
     QuadratureConfig,
     frac_deriv_quadrature,
 )
-from .laplace import build_coeff_table, eval_m, extend_to_level, log_bessel_series
+from .laplace import MAX_LEVEL, build_coeff_table, eval_m, extend_to_level, log_bessel_series
 from .model import OptionSpec, VgParams
 
 __all__ = [
@@ -223,23 +225,27 @@ def price_put_cgz(
     over the whole array of nodes at once, with the factor
     (1/nu)^rho/Gamma(rho) (n+2)! lam^-(n+3) folded into one exponent per
     node, so fractional t/nu prices without overflow up to ~1000 and
-    beyond.
+    beyond.  At integer t/nu = n + 1 the price reads level n of the
+    coefficient table at lam = 1/nu; past ``MAX_LEVEL``, or where a level
+    up to n fails the table's C^1 check, it takes the same series on the
+    one node 1/nu instead.
 
     ``tables`` is an optional memo owned by the caller, keyed by
-    (strike, params).  At integer t/nu the price reads one level of the
-    coefficient table at lam = 1/nu, so calls that share a memo share
+    (strike, params).  At integer t/nu calls that share a memo share
     one table per (strike, sigma, nu): it is extended to the level a
     call needs when too shallow, and stored back.  The price is the same
-    as without the memo.  Only double-precision tables are stored: a
-    table rebuilt in mpmath for a high level would change the lower
-    levels, which a fresh build computes in floats.  The fractional
-    branch needs no table and does not use the memo.
+    as without the memo: an extension gives the same table, or fails at
+    the same level, as a fresh build.
     """
     _require_put(spec)
     lam0 = 1.0 / params.nu
     rho = spec.maturity / params.nu
     x = spec.log_spot
     strike = spec.strike
+    z = x - math.log(strike)
+    # the power rule on the power-law terms of m^(n) gives exactly the
+    # intrinsic value: the factorials and the powers of lam0 cancel
+    intrinsic = strike - spec.spot if z <= 0.0 else 0.0
     # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~1000)
     log_pref = rho * math.log(lam0) - gammaln(rho)
 
@@ -247,19 +253,28 @@ def price_put_cgz(
     if k >= 1 and abs(rho - k) <= _INTEGER_RTOL * max(1.0, rho):
         n = k - 1
         memo = {} if tables is None else tables
-        table = memo.get((strike, params))
-        if table is None:
-            table = build_coeff_table(lam0, strike, params, max_level=n)
-        else:
-            table = extend_to_level(table, n)
-        if not table.extended:
+        table = None
+        if n <= MAX_LEVEL:
+            held = memo.get((strike, params))
+            try:
+                table = (build_coeff_table(lam0, strike, params, max_level=n)
+                         if held is None else extend_to_level(held, n))
+            except ArithmeticError:  # a level up to n fails the C^1 check
+                pass
+        if table is not None:
             memo[(strike, params)] = table
-        value = math.exp(log_pref) * (-1.0) ** n * eval_m(table, n, x)
+            value = math.exp(log_pref) * (-1.0) ** n * eval_m(table, n, x)
+        else:
+            # here (1/nu)^rho/Gamma(rho) n! lam0^-(n+1) is exactly 1
+            log_series = log_bessel_series(np.array([lam0]), z, params, n)[0]
+            value = intrinsic + math.exp(
+                log_series - params.mu * z / params.sigma**2
+                + math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
+            )
         diag = None
     else:
         n = max(math.floor(rho - 1.0), 0)
         alpha = rho - 1.0 - n
-        z = x - math.log(strike)
         # f'' is (1/nu)^rho/Gamma(rho) |exponential part of m^(n+2)|; its
         # sign (-1)^n times the formula's (-1)^(n+1) is the minus below
         log_coef = (
@@ -272,9 +287,7 @@ def price_put_cgz(
             return np.exp(log_coef - (n + 3.0) * np.log(lam) + log_series)
 
         d_exp, qerr = frac_deriv_quadrature(f_second, alpha, lam0, cfg)
-        # the power rule on the power-law terms of m^(n) gives exactly the
-        # intrinsic value: the factorials and the powers of lam0 cancel
-        value = (strike - spec.spot if z <= 0.0 else 0.0) - d_exp
+        value = intrinsic - d_exp
         diag = qerr
 
     _check_put_bounds(value, spec, "cgz")

@@ -14,14 +14,21 @@ its stated tolerance:
   * the closed form prices a seeded sweep of the whole parameter box,
     integer and fractional t/nu up to 100, within 1e-9 K of the gamma
     mixture, and its quadrature error estimate covers that gap,
-  * it prices fractional t/nu up to 1000 over a wider box
-    (sigma 0.03..1, nu 0.02..2, S/K 0.2..5) within 1e-9 K of the mixture,
+  * it prices fractional t/nu up to 1000 and integer t/nu 1..1000 over a
+    wider box (sigma 0.03..1, nu 0.02..2, S/K 0.2..5) within 1e-9 K of
+    the mixture,
+  * at integer t/nu the coefficient tables do not reach (past their level
+    cap, or past a level that fails their C^1 check) it is within
+    1e-13 K of a 40-digit gamma-mixture reference (``tests/reference.py``),
+    which itself reproduces the published T1 values,
   * and the Fourier inversion prices every integer t/nu up to 100 within
     1e-9 K of the closed form, without a warning.
 """
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +51,14 @@ from vgpricer import (
 )
 from vgpricer import fracderiv
 from vgpricer.bench import BUILTIN_TABLES, np_seed_for_row
+
+# loaded by path under its own name: perfbench/ has a module named
+# ``reference`` too, and both suites may run in one session
+_SPEC = importlib.util.spec_from_file_location(
+    "tests_reference", Path(__file__).with_name("reference.py"))
+reference = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(reference)
+gamma_mixture_put = reference.gamma_mixture_put
 
 SWEEP_SEED = 20260818
 MC_BASE_SEED = 7
@@ -280,7 +295,7 @@ def test_closed_form_prices_the_whole_box():
     )
 
 
-# a wider box for the fractional branch, which has no level cap
+# a wider box: neither branch of the closed form has a level cap
 WIDE_SIGMA_BOX = (0.03, 1.0)
 WIDE_NU_BOX = (0.02, 2.0)
 WIDE_RHO_BOX = (0.05, 1000.0)  # t/nu
@@ -290,8 +305,9 @@ WIDE_MONEYNESS_BOX = (0.2, 5.0)  # S/K
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_closed_form_prices_the_wide_fractional_box():
     # 200 seeded fractional rows, t/nu log-uniform up to 1000, every
-    # fourth row exactly at the money: far past the coefficient tables'
-    # level cap, which only the integer branch still has
+    # fourth row exactly at the money; then, in the same box, 200 seeded
+    # integer rows with t/nu uniform on 1..1000, mostly past the
+    # coefficient tables' level cap, where they price on the Bessel series
     rng = np.random.default_rng(BOX_SEED + 2)
     worst = 0.0
     top_rho = 0.0
@@ -314,11 +330,69 @@ def test_closed_form_prices_the_wide_fractional_box():
     assert (again.value, again.diagnostics) == (a.value, a.diagnostics)
     assert fracderiv._RULE.keys() == built.keys()
     assert all(fracderiv._RULE[level] is nodes for level, nodes in built.items())
+    rng = np.random.default_rng(BOX_SEED + 3)
+    for i in range(200):
+        sigma = float(rng.uniform(*WIDE_SIGMA_BOX))
+        nu = float(rng.uniform(*WIDE_NU_BOX))
+        rho = int(rng.integers(1, int(WIDE_RHO_BOX[1]) + 1))
+        moneyness = 1.0 if i % 4 == 0 else math.exp(rng.uniform(*np.log(WIDE_MONEYNESS_BOX)))
+        spec = OptionSpec(100.0 * moneyness, 100.0, rho * nu)
+        params = VgParams(sigma, nu)
+        a = price_put_cgz(spec, params)  # must not raise or warn
+        b = price_put_mixture(spec, params)
+        assert a.diagnostics is None  # the exact branch ran
+        worst = max(worst, abs(a.value - b.value) / spec.strike)
     _report(
-        "cgz over the wide fractional box",
+        "cgz over the wide box",
         worst <= 1e-9,
-        f"max |cgz - mixture| = {worst:.2e} K <= 1e-9 K over 200 rows, "
-        f"t/nu up to {top_rho:.1f}, no warnings",
+        f"max |cgz - mixture| = {worst:.2e} K <= 1e-9 K over 200 fractional rows "
+        f"(t/nu up to {top_rho:.1f}) and 200 integer rows (1..1000), no warnings",
+    )
+
+
+# integer t/nu the float coefficient tables do not reach, K = 100:
+# (spot, t/nu, sigma, nu).  The first three tables fail the C^1 check
+# below the level priced (at levels 16, 29 and 58); the rest lie past
+# laplace.MAX_LEVEL.
+INTEGER_REFERENCE_ROWS = [
+    (90.0, 30, 1.795, 3.040),
+    (90.0, 40, 1.562, 1.897),
+    (90.0, 70, 0.899, 2.329),
+    (100.0, 102, 0.2, 0.3),
+    (90.0, 102, 0.1, 0.2),
+    (130.0, 150, 0.35, 0.05),
+    (100.0, 250, 0.6, 1.0),
+    (60.0, 400, 0.05, 0.02),
+    (250.0, 500, 0.3, 0.1),
+    (100.0, 750, 0.1, 0.02),
+    (20.0, 1000, 1.0, 2.0),
+    (150.0, 1000, 0.03, 0.01),
+    (100.0, 1500, 0.15, 0.04),
+    (80.0, 2000, 0.2, 0.3),
+    (130.0, 2000, 0.1, 0.005),
+]
+
+
+def test_reference_put_reproduces_the_integer_clock_table():
+    # the 40-digit reference against the published four-decimal T1 values
+    for row in builtin_table_rows("T1"):
+        ref = gamma_mixture_put(row.spot, row.strike, row.maturity, row.sigma, row.nu)
+        assert abs(ref - row.expected) <= 5e-5
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_matches_the_reference_where_the_tables_do_not_reach():
+    worst = 0.0
+    for spot, rho, sigma, nu in INTEGER_REFERENCE_ROWS:
+        quote = price_put_cgz(OptionSpec(spot, 100.0, rho * nu), VgParams(sigma, nu))
+        assert quote.diagnostics is None  # the exact branch ran
+        ref = gamma_mixture_put(spot, 100.0, rho * nu, sigma, nu)
+        worst = max(worst, abs(quote.value - ref) / 100.0)
+    _report(
+        "cgz against the 40-digit reference at integer t/nu",
+        worst <= 1e-13,
+        f"max |cgz - reference| = {worst:.2e} K <= 1e-13 K over "
+        f"{len(INTEGER_REFERENCE_ROWS)} rows, t/nu 30..2000",
     )
 
 

@@ -93,9 +93,21 @@ def test_invalid_row_is_reported_not_raised():
     assert report.error_count == 1
 
 
-def test_per_method_failure_leaves_other_methods_alive():
-    # t/nu = 102 exceeds the closed-form level cap; the mixture
-    # integral has no such ceiling
+def _series_fails(monkeypatch):
+    """Make the Bessel series raise, so that every cgz row it prices fails:
+    all fractional rows, and integer rows past the coefficient tables'
+    level cap."""
+
+    def refuse(lam, z, params, n):
+        raise ValueError("series refused")
+
+    monkeypatch.setattr(pricing, "log_bessel_series", refuse)
+
+
+def test_per_method_failure_leaves_other_methods_alive(monkeypatch):
+    # t/nu = 102 lies past the tables' level cap, so cgz prices it on
+    # the series, which fails here; the mixture integral does not use it
+    _series_fails(monkeypatch)
     rows = [ScenarioRow("deep", 20.4, 18.0, 20.0, 0.1, 0.2, methods=FAST)]
     report = run_scenarios(rows)
     r = report.rows[0]
@@ -232,9 +244,9 @@ def test_shared_tables_price_like_separate_calls(order):
     assert _shared(rows) == _separately(rows)
 
 
-def test_shared_tables_price_like_separate_calls_across_the_mpmath_fallback(monkeypatch):
-    # every level from 12 up fails the C^1 check, so rows there price
-    # from mpmath tables and rows below from float ones, in any order
+def test_shared_tables_price_like_separate_calls_across_the_series_fallback(monkeypatch):
+    # every level from 12 up fails the C^1 check, so rows there price on
+    # the Bessel series and rows below from the tables, in any order
     real = laplace.CoeffTable.c1_residual
     monkeypatch.setattr(
         laplace.CoeffTable, "c1_residual", lambda self, n: 1.0 if n >= 12 else real(self, n)
@@ -243,12 +255,15 @@ def test_shared_tables_price_like_separate_calls_across_the_mpmath_fallback(monk
     assert _shared(rows) == _separately(rows)
 
 
-def test_row_past_the_level_cap_fails_alone_mid_ladder():
+def test_row_past_the_level_cap_fails_alone_mid_ladder(monkeypatch):
+    # the row past the cap prices on the series, which fails here; the
+    # rows around it keep extending the shared tables
+    _series_fails(monkeypatch)
     rows = _ladder([3, 40, 101, 50, 20, 70])
     report = run_scenarios(rows)
     failed = [r for r in report.rows if r.errors]
     assert [round(r.scenario.maturity / r.scenario.nu) for r in failed] == [102] * 4
-    assert all(r.errors["cgz"].startswith("ValueError: level must be") for r in failed)
+    assert all(r.errors["cgz"] == "ValueError: series refused" for r in failed)
     priced = [r for r in report.rows if not r.errors]
     assert [_bits(r.quotes["cgz"]) for r in priced] == _separately([r.scenario for r in priced])
 
@@ -268,6 +283,27 @@ def test_runs_share_no_tables(monkeypatch):
     second = _shared(rows)
     assert builds[4:] == builds[:4]  # the second run starts from nothing
     assert first == second
+
+
+def test_each_row_sees_only_its_own_table(monkeypatch):
+    # a row's calls get only its own contract's table, so a run's cost
+    # grows linearly in its rows however many contracts it holds
+    import vgpricer.bench as bench
+
+    seen = []
+
+    def recording(*args, tables=None, **kwargs):
+        seen.append(len(tables))
+        return pricing.price(*args, tables=tables, **kwargs)
+
+    monkeypatch.setattr(bench, "price", recording)
+    rows = [
+        ScenarioRow("many", 0.2, 80.0, round(80.0 + 0.01 * i, 2), 0.1, 0.2, ("cgz",))
+        for i in range(500)
+    ]
+    report = run_scenarios(rows, repetitions=2)
+    assert report.error_count == 0
+    assert len(seen) == 3 * 500 and max(seen) <= 1
 
 
 def test_repetitions_time_each_rows_own_extension():

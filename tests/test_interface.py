@@ -81,3 +81,16 @@ def test_import_loads_scipy_stats():
     # `-X importtime` trace of `import vgpricer`, and exits if it is absent
     code = "import sys, vgpricer; assert 'scipy.stats' in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def test_pricing_never_loads_mpmath():
+    # a table that fails the C^1 check at t/nu 30, and t/nu 500 past the
+    # level cap, both price on the Bessel series in double precision
+    code = (
+        "import sys\n"
+        "from vgpricer import OptionSpec, VgParams, price_put_cgz\n"
+        "price_put_cgz(OptionSpec(90.0, 100.0, 30 * 3.040), VgParams(1.795, 3.040))\n"
+        "price_put_cgz(OptionSpec(90.0, 100.0, 500 * 0.3), VgParams(0.2, 0.3))\n"
+        "assert 'mpmath' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

@@ -271,7 +271,6 @@ def test_table_domain_validation():
 
 def test_deep_levels_stay_in_double_precision_here():
     table = build_coeff_table(LAM, K, P, max_level=40)
-    assert not table.extended
     assert max(table.c1_residual(n) for n in range(41)) < 1e-9
 
 
@@ -289,33 +288,6 @@ def test_power_law_factor_never_overflows():
         assert small.power_law[n] == pytest.approx(want, rel=1e-15)
 
 
-def test_extended_precision_backend_agrees_with_floats():
-    import mpmath
-
-    with mpmath.workdps(60):
-        th1, th2, lv1, lv2, _ = laplace._build_levels(LAM, K, P, 6, mp_ctx=mpmath)
-    flt = build_coeff_table(LAM, K, P, max_level=6)
-    assert float(th1) == pytest.approx(flt.roots.theta1, rel=1e-14)
-    for n in range(7):
-        for a, b in zip(lv1[n], flt.levels_itm[n]):
-            assert float(a) == pytest.approx(b, rel=1e-12)
-        for a, b in zip(lv2[n], flt.levels_otm[n]):
-            assert float(a) == pytest.approx(b, rel=1e-12)
-
-
-def test_extended_precision_fallback_is_flagged(monkeypatch):
-    # force the residual check to fail so the mpmath rebuild engages
-    monkeypatch.setattr(laplace, "_C1_RTOL", -1.0)
-    table = build_coeff_table(LAM, K, P, max_level=2)
-    assert table.extended
-    plain = VgParams(sigma=0.1, nu=0.2)
-    monkeypatch.undo()
-    ref = build_coeff_table(LAM, K, plain, max_level=2)
-    for n in range(3):
-        for a, b in zip(table.levels_itm[n], ref.levels_itm[n]):
-            assert a == pytest.approx(b, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # incremental extension: continue the recursion from a table's top level
 
@@ -326,7 +298,7 @@ def _bits(table):
     numbers = [table.roots.theta1, table.roots.theta2, *table.power_law]
     numbers += [c for lv in table.levels_itm + table.levels_otm for c in lv]
     raw = b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in numbers)
-    return table.max_level, np.asarray(table.extended).tobytes(), raw
+    return table.max_level, raw
 
 
 @pytest.mark.parametrize("sigma,nu,strike", [(0.1, 0.2, 20.0), (0.45, 0.07, 130.0), (0.6, 1.0, 55.0)])
@@ -358,7 +330,7 @@ def test_extension_past_the_level_cap_raises_like_a_build():
         extend_to_level(build_coeff_table(LAM, K, P, max_level=3), -1)
 
 
-def test_extension_whose_new_level_trips_the_c1_check_falls_back_like_a_build(monkeypatch):
+def test_extension_whose_new_level_trips_the_c1_check_raises_like_a_build(monkeypatch):
     # pick a tolerance that levels 0..a meet and some level in a+1..b does
     # not, so the trip happens on a level the extension adds
     a, b = 4, 8
@@ -367,15 +339,14 @@ def test_extension_whose_new_level_trips_the_c1_check_falls_back_like_a_build(mo
     assert max(residuals[a + 1:]) > tol
     base = build_coeff_table(LAM, K, P, max_level=a)
     monkeypatch.setattr(laplace, "_C1_RTOL", tol)
-    assert not build_coeff_table(LAM, K, P, max_level=a).extended
-    grown = extend_to_level(base, b)
-    fresh = build_coeff_table(LAM, K, P, max_level=b)
-    assert grown.extended is True and fresh.extended is True
-    assert _bits(grown) == _bits(fresh)
-    # extending an mpmath table rebuilds it in mpmath, as a build does
-    assert _bits(extend_to_level(grown, b + 3)) == _bits(
-        build_coeff_table(LAM, K, P, max_level=b + 3)
-    )
+    build_coeff_table(LAM, K, P, max_level=a)  # levels 0..a still pass
+    with pytest.raises(ArithmeticError) as grown:
+        extend_to_level(base, b)
+    with pytest.raises(ArithmeticError) as fresh:
+        build_coeff_table(LAM, K, P, max_level=b)
+    first = next(n for n in range(b + 1) if residuals[n] > tol)
+    assert str(grown.value).startswith(f"level {first} fails the C^1 check")
+    assert str(grown.value) == str(fresh.value)
 
 
 # ---------------------------------------------------------------------------
