@@ -32,7 +32,8 @@
 
 ``price_put_fourier``
     Damped-payoff Fourier inversion of the variance gamma
-    characteristic function (strike-damped call, put by parity).
+    characteristic function (strike-damped call, put by parity), at one
+    damping exponent chosen from the contract inside the moment strip.
 
 ``price_put_mc``
     Monte Carlo over the time-changed Brownian motion.
@@ -86,8 +87,10 @@ _INTEGER_RTOL = 1e-9
 # slack on the hard no-arbitrage bounds (K - S)^+ <= P <= K
 _BOUND_SLACK = 1e-9
 
-# Fourier damping: default exponent and fallbacks tried on bound violations
-_DAMPING_SWEEP = (1.5, 0.75, 2.5)
+# Fourier damping exponent: at most this, found in this many bisection
+# steps; a = 5 already fails to converge on some moderate contracts
+_DAMPING_CAP = 3.0
+_DAMPING_STEPS = 30
 
 # paths per Monte Carlo chunk (one RNG substream each)
 _MC_CHUNK = 1_000_000
@@ -326,20 +329,16 @@ def price_put_mixture(
             log_norm + (shape - 1.0) * math.log(s) - rate * s
         )
 
-    pieces = []
-    if shape > 1.0:
+    if shape >= 1.0:
         mode = (shape - 1.0) * params.nu
-        pieces.append(
-            quad(density_integrand, 0.0, mode,
+        edges = (0.0, mode, upper) if shape > 1.0 else (0.0, upper)
+        pieces = [
+            quad(density_integrand, lo, hi,
                  epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
                  limit=cfg.max_subdivisions, full_output=True)
-        )
-        pieces.append(
-            quad(density_integrand, mode, upper,
-                 epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                 limit=cfg.max_subdivisions, full_output=True)
-        )
-    elif shape < 1.0:
+            for lo, hi in zip(edges, edges[1:])
+        ]
+    else:
         # pull the singular factor s^{shape-1} into the quadrature weight;
         # the weighted rule probes s = 0, where the smooth factor tends to
         # the intrinsic value times the normalization
@@ -352,17 +351,11 @@ def price_put_mixture(
                 log_norm - rate * s
             )
 
-        pieces.append(
+        pieces = [
             quad(smooth_part, 0.0, upper, weight="alg", wvar=(shape - 1.0, 0.0),
                  epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
                  limit=cfg.max_subdivisions, full_output=True)
-        )
-    else:
-        pieces.append(
-            quad(density_integrand, 0.0, upper,
-                 epsabs=cfg.abs_tol, epsrel=cfg.rel_tol,
-                 limit=cfg.max_subdivisions, full_output=True)
-        )
+        ]
 
     value = sum(p[0] for p in pieces)
     err = sum(p[1] for p in pieces) + _MIXTURE_TAIL * strike
@@ -384,10 +377,42 @@ def _moment_bound_ok(a: float, params: VgParams) -> bool:
     return 1.0 - params.nu * params.sigma**2 * a * (a + 1.0) / 2.0 > 0.0
 
 
-def _fourier_call_damped(
-    spec: OptionSpec, params: VgParams, cfg: QuadratureConfig, a: float
-) -> tuple[float, float]:
-    """Damped call price for one damping exponent a; returns (call, err)."""
+def _fourier_damping(spec: OptionSpec, params: VgParams) -> float:
+    """Damping exponent for ``price_put_fourier``, chosen from the contract.
+
+    It minimises the log of the damped integrand at v = 0 (Lord & Kahl
+    2007), g(a) = a m - (t/nu) log(1 - c a(a+1)) - log(a(a+1)) with
+    m = log(S/K) and c = nu sigma^2/2, over the moment strip
+    0 < a < (sqrt(1 + 4/c) - 1)/2 capped at ``_DAMPING_CAP``.  g is
+    convex, so bisection on the sign of g' finds the minimiser.
+    """
+    m = spec.log_spot - spec.log_strike
+    rho = spec.maturity / params.nu
+    c = 0.5 * params.nu * params.sigma**2
+    lo, hi = 0.0, min(0.5 * (math.sqrt(1.0 + 4.0 / c) - 1.0), _DAMPING_CAP)
+    for _ in range(_DAMPING_STEPS):
+        a = 0.5 * (lo + hi)
+        q = a * (a + 1.0)
+        slope = m + (2.0 * a + 1.0) * (rho * c / (1.0 - c * q) - 1.0 / q)  # g'(a)
+        if slope > 0.0:
+            hi = a
+        else:
+            lo = a
+    return 0.5 * (lo + hi)
+
+
+def price_put_fourier(
+    spec: OptionSpec,
+    params: VgParams,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> PriceQuote:
+    """Damped Fourier inversion: strike-damped call integral, put by parity.
+
+    One inversion, at the exponent of ``_fourier_damping``; off the money
+    (|log(S/K)| >= 1e-3) the integral is the cos- and sin-weighted QAWF pair.
+    """
+    _require_put(spec)
+    a = _fourier_damping(spec, params)
     t = spec.maturity
     rel_strike = spec.log_spot - spec.log_strike  # log-moneyness m
 
@@ -430,54 +455,13 @@ def _fourier_call_damped(
         failed = len(r) > 3
 
     call = prefactor * integral
+    err *= prefactor
     if failed or not math.isfinite(call):
-        raise QuadratureAccuracyError(
-            "Fourier inversion did not converge", call, prefactor * err
-        )
-    return call, prefactor * err
-
-
-def price_put_fourier(
-    spec: OptionSpec,
-    params: VgParams,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    damping: float | None = None,
-) -> PriceQuote:
-    """Damped Fourier inversion: strike-damped call integral, put by parity.
-
-    The damping exponent defaults to 1.5 and falls back over the sweep
-    (0.75, 2.5) if the inverted price lands outside no-arbitrage bounds
-    or the moment condition rejects the exponent.  When every exponent
-    fails, the error (of the type of the last failure) names each
-    exponent tried and why it was rejected.
-    """
-    _require_put(spec)
-    sweep = (damping,) if damping is not None else _DAMPING_SWEEP
-    intrinsic = max(spec.strike - spec.spot, 0.0)
-    slack = _BOUND_SLACK * max(1.0, spec.strike)
-    rejected: list[str] = []
-    last_error: Exception
-    for a in sweep:
-        if not (a > 0.0) or not _moment_bound_ok(a, params):
-            last_error = ValueError("violates the moment condition")
-        else:
-            try:
-                call, err = _fourier_call_damped(spec, params, cfg, a)
-            except QuadratureAccuracyError as exc:
-                last_error = exc
-            else:
-                value = call - spec.spot + spec.strike
-                if intrinsic - slack <= value <= spec.strike + slack:
-                    value = max(value, 0.0)  # inversion noise may dip a hair below zero
-                    return PriceQuote(value, "fourier", err)
-                last_error = ArithmeticError(f"price {value!r} out of no-arbitrage bounds")
-        rejected.append(f"damping {a!r}: {last_error}")
-    message = "every damping exponent failed: " + "; ".join(rejected)
-    if isinstance(last_error, QuadratureAccuracyError):
-        raise QuadratureAccuracyError(
-            message, last_error.estimate, last_error.error_estimate
-        )
-    raise type(last_error)(message)
+        raise QuadratureAccuracyError("Fourier inversion did not converge", call, err)
+    value = call - spec.spot + spec.strike
+    _check_put_bounds(value, spec, "fourier")
+    # inversion noise may dip a hair below zero
+    return PriceQuote(max(value, 0.0), "fourier", err)
 
 
 def fourier_put_ladder(

@@ -21,8 +21,11 @@ its stated tolerance:
     cap, or past a level that fails their C^1 check) it is within
     1e-13 K of a 40-digit gamma-mixture reference (``tests/reference.py``),
     which itself reproduces the published T1 values,
-  * and the Fourier inversion prices every integer t/nu up to 100 within
-    1e-9 K of the closed form, without a warning.
+  * the Fourier inversion prices every integer t/nu up to 100 within
+    1e-9 K of the closed form, without a warning,
+  * and, at one damping exponent chosen inside the moment strip, it
+    prices the box and the wider box (t/nu log-uniform, nu sigma^2 up
+    to 2) within 1e-9 K of the closed form, without a warning.
 """
 
 import importlib.util
@@ -416,6 +419,56 @@ def test_fourier_prices_every_integer_clock_up_to_100():
         worst <= 1e-9,
         f"max |fourier - cgz| = {worst:.2e} K <= 1e-9 K over {count} rows, "
         "t/nu 1..100, no warnings",
+    )
+
+
+# contracts the three-exponent damping sweep once failed on, as
+# (spot, strike, t, sigma, nu)
+FOURIER_NAMED_ROWS = [
+    (60.6, 100.0, 73.69 * 0.525, 0.538, 0.525),
+    (90.0, 100.0, 999.5 * 0.3, 0.2, 0.3),
+    (18.0, 20.0, 1.0, 1.0, 2.0),
+    (100.0, 53.3254, 33.8801, 0.595002, 0.891582),
+]
+
+
+def _log_uniform_cases(seed, count, sigma_box, nu_box, rho_box, moneyness_box):
+    """Seeded (spec, params) draws, t/nu and S/K log-uniform, K = 100."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        sigma = float(rng.uniform(*sigma_box))
+        nu = float(rng.uniform(*nu_box))
+        rho = math.exp(rng.uniform(*np.log(rho_box)))
+        moneyness = math.exp(rng.uniform(*np.log(moneyness_box)))
+        cases.append((OptionSpec(100.0 * moneyness, 100.0, rho * nu), VgParams(sigma, nu)))
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fourier_prices_the_moment_strip():
+    # one damping exponent chosen inside the moment strip prices the box,
+    # the wide box (where nu sigma^2 reaches 2 and t/nu 1000) and the
+    # named contracts
+    cases = _log_uniform_cases(5, 300, SIGMA_BOX, NU_BOX, RHO_BOX, MONEYNESS_BOX)
+    cases += _log_uniform_cases(7, 300, WIDE_SIGMA_BOX, WIDE_NU_BOX, WIDE_RHO_BOX,
+                                WIDE_MONEYNESS_BOX)
+    cases += [(OptionSpec(spot, strike, t), VgParams(sigma, nu))
+              for spot, strike, t, sigma, nu in FOURIER_NAMED_ROWS]
+    worst = 0.0
+    worst_share = 0.0
+    for spec, params in cases:
+        a = price_put_cgz(spec, params)
+        b = price_put_fourier(spec, params)  # must not raise or warn
+        assert b.diagnostics > 0.0
+        gap = abs(a.value - b.value)
+        worst = max(worst, gap / spec.strike)
+        worst_share = max(worst_share, gap / (b.diagnostics + (a.diagnostics or 0.0)))
+    _report(
+        "fourier over the moment strip",
+        worst <= 1e-9,
+        f"max |fourier - cgz| = {worst:.2e} K <= 1e-9 K over {len(cases)} rows, "
+        f"at most {worst_share:.2f} of the summed diagnostics, no warnings",
     )
 
 

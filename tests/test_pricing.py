@@ -20,7 +20,6 @@ from vgpricer import (
     McConfig,
     OptionSpec,
     PriceQuote,
-    QuadratureAccuracyError,
     QuadratureConfig,
     VgParams,
     black_scholes_put,
@@ -161,12 +160,12 @@ def test_charfunc_at_an_integral_exponent_stays_finite():
 
 
 def test_charfunc_on_the_fourier_contour_against_mpmath():
-    # u = v - i(a+1) for the damping exponents of the Fourier sweep, on
-    # parameters inside each exponent's moment bound
+    # u = v - i(a+1) for damping exponents across the Fourier route's
+    # range (0, 3], on parameters inside each exponent's moment bound
     rng = np.random.default_rng(2025)
     worst = 0.0
     with mpmath.workdps(40):
-        for a in (0.75, 1.5, 2.5):
+        for a in (0.1, 0.75, 1.5, 2.5, 3.0):
             done = 0
             while done < 100:
                 sigma = float(rng.uniform(0.05, 0.6))
@@ -322,27 +321,26 @@ def test_fourier_short_maturity_small_price():
 
 
 def test_fourier_explicit_damping_and_moment_bound():
-    q = price_put_fourier(_spec(18.0, 20.0, 0.5), P1, damping=2.0)
+    q = price_put_fourier(_spec(18.0, 20.0, 0.5), P1)
     assert abs(q.value - 2.0492) <= 5e-4
-    # sigma^2 nu a(a+1)/2 >= 1 rejects the exponent outright
-    bad = VgParams(1.0, 2.0)
-    with pytest.raises((ValueError, ArithmeticError, QuadratureAccuracyError)):
-        price_put_fourier(_spec(18.0, 20.0, 0.5), bad, damping=10.0)
-
-
-def test_fourier_failure_names_every_damping_exponent():
-    # nu sigma^2 = 2 leaves no exponent of the sweep inside the moment bound
-    with pytest.raises(ValueError) as exc:
-        price_put_fourier(_spec(18.0, 20.0, 1.0), VgParams(1.0, 2.0))
-    message = str(exc.value)
-    for a in (1.5, 0.75, 2.5):
-        assert f"damping {a!r}: violates the moment condition" in message
-    assert message.index("1.5") < message.index("0.75") < message.index("2.5")
+    # sigma^2 nu a(a+1)/2 >= 1 rejects an explicit ladder exponent outright
+    with pytest.raises(ValueError):
+        fourier_put_ladder(18.0, 0.5, VgParams(1.0, 2.0), damping=10.0)
+    # the chosen exponent lies inside the moment strip, capped at 3
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        params = VgParams(float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.001, 5.0)))
+        spec = _spec(100.0 * math.exp(rng.uniform(-3.0, 3.0)), 100.0,
+                     params.nu * math.exp(rng.uniform(-7.0, 7.6)))
+        c = params.nu * params.sigma**2 / 2.0
+        a = pricing._fourier_damping(spec, params)
+        assert 0.0 < a < min((math.sqrt(1.0 + 4.0 / c) - 1.0) / 2.0, 3.0)
+        assert pricing._moment_bound_ok(a, params)
 
 
 def test_fourier_evaluates_each_node_once(monkeypatch):
     # off the money the sin-weighted QAWF call revisits the cos-weighted
-    # call's nodes; each damping call evaluates the integrand once per node
+    # call's nodes; the inversion evaluates the integrand once per node
     seen = []
     charfunc = pricing.vg_charfunc
 
