@@ -35,7 +35,9 @@ from .pricing import (
     black_scholes_put,
     call_from_put,
     fourier_put_ladder,
+    integer_shape,
     price,
+    price_cgz_group,
     price_put_cgz,
     price_put_fourier,
     price_put_mc,
@@ -80,7 +82,9 @@ __all__ = [
     "black_scholes_put",
     "call_from_put",
     "fourier_put_ladder",
+    "integer_shape",
     "price",
+    "price_cgz_group",
     "price_put_cgz",
     "price_put_fourier",
     "price_put_mc",

@@ -13,7 +13,10 @@ and reports per method the median of the repetitions' ``elapsed`` (a
 warm-up call is excluded whenever more than one repetition is
 requested).  Its integer-t/nu ``cgz`` rows share one coefficient table
 per (strike, sigma, nu), extended level by level as the rows need it,
-for the length of one call.  ``emit_report`` renders
+for the length of one call.  Its fractional-t/nu ``cgz`` rows that share
+(maturity, sigma, nu) go together through ``pricing.price_cgz_group``,
+and each reports the group's median time split evenly over the group's
+rows.  ``emit_report`` renders
 a report as aligned text, CSV (fixed header: table,t,S,K,sigma,nu,
 method,price,expected,abs_diff,elapsed_ns), or JSON.  Identical configuration and
 seeds give byte-identical CSV except for the elapsed_ns column.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .fracderiv import DEFAULT_QUADRATURE, QuadratureConfig
 from .model import OptionSpec, VgParams
-from .pricing import METHODS, McConfig, PriceQuote, price
+from .pricing import METHODS, McConfig, PriceQuote, integer_shape, price, price_cgz_group
 
 __all__ = [
     "BUILTIN_TABLES",
@@ -215,47 +218,90 @@ def run_scenarios(
     one repetition a warm-up call runs first and is discarded.  Monte
     Carlo rows derive their seed from (seed, row index) so runs are
     reproducible however the rows are batched; rows without ``mc``
-    derive none.
+    derive none.  Quotes and errors come back in row order.
 
-    The ``cgz`` calls of one run share a memo of coefficient tables (see
-    ``price_put_cgz``): an integer-t/nu row extends the table of its
-    (strike, sigma, nu) from the deepest level an earlier row built,
-    with the same prices as unshared calls.  Each repetition of a row
-    starts from that row's table as it stood before the row, so the
-    timing covers the row's own share of the recursion.  The memo lives
-    for this call only.
+    ``cgz`` rows at a fractional t/nu that share (maturity, sigma, nu)
+    with another row of the call, such as a strike ladder, are priced
+    together by ``price_cgz_group``, with the same prices and the same
+    errors as one by one.  The whole group is repeated ``repetitions``
+    times (after a warm-up when more than one), and each of its rows
+    reports the median group time split evenly over the group's rows.
+
+    The other ``cgz`` calls of one run share a memo of coefficient
+    tables (see ``price_put_cgz``): an integer-t/nu row extends the
+    table of its (strike, sigma, nu) from the deepest level an earlier
+    row built, with the same prices as unshared calls.  Each repetition
+    of a row starts from that row's table as it stood before the row, so
+    the timing covers the row's own share of the recursion.  The memo
+    lives for this call only.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    tables: dict = {}
     results: list[RowResult] = []
-    for idx, row in enumerate(rows):
+    contracts: list[tuple] = []  # (spec, params) per row, None for an invalid row
+    for row in rows:
         res = RowResult(scenario=row)
+        results.append(res)
         try:
-            spec = OptionSpec(
-                spot=row.spot, strike=row.strike, maturity=row.maturity, side="put"
-            )
-            params = VgParams(sigma=row.sigma, nu=row.nu)
+            contracts.append((
+                OptionSpec(spot=row.spot, strike=row.strike, maturity=row.maturity, side="put"),
+                VgParams(sigma=row.sigma, nu=row.nu),
+            ))
         except (ValueError, ArithmeticError) as exc:
             res.errors["*"] = f"{type(exc).__name__}: {exc}"
-            results.append(res)
+            contracts.append(None)
+    grouped = _grouped_cgz(rows, contracts, cfg, repetitions)
+    tables: dict = {}
+    for idx, (row, res, contract) in enumerate(zip(rows, results, contracts)):
+        if contract is None:
             continue
+        spec, params = contract
         # only mc draws random numbers, so only its rows derive a seed
         row_seed = np_seed_for_row(seed, idx) if "mc" in row.methods else None
         for method in row.methods:
             try:
-                res.quotes[method] = _median_quote(
-                    method, spec, params, cfg, row_seed, mc_paths, repetitions, tables
-                )
+                quote = grouped.get(idx) if method == "cgz" else None
+                if quote is None:
+                    quote = _median_quote(
+                        method, spec, params, cfg, row_seed, mc_paths, repetitions, tables
+                    )
+                elif isinstance(quote, Exception):
+                    raise quote
+                res.quotes[method] = quote
             except (ValueError, ArithmeticError, RuntimeError) as exc:
                 res.errors[method] = f"{type(exc).__name__}: {exc}"
-        results.append(res)
     return BenchReport(rows=results)
 
 
 def np_seed_for_row(seed: int, row_index: int) -> int:
     """Stable 64-bit per-row seed derived from (seed, row index)."""
     return int(np.random.SeedSequence([seed, row_index]).generate_state(1)[0])
+
+
+def _grouped_cgz(rows, contracts, cfg, repetitions) -> dict:
+    """The ``cgz`` outcome (quote or exception) of every row that prices in
+    a group, by row index: fractional t/nu rows that share (maturity,
+    sigma, nu) with another row."""
+    groups: dict[tuple, list[int]] = {}
+    for idx, (row, contract) in enumerate(zip(rows, contracts)):
+        if contract is not None and "cgz" in row.methods:
+            groups.setdefault((row.maturity, row.sigma, row.nu), []).append(idx)
+    grouped: dict = {}
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        spec, params = contracts[members[0]]
+        if integer_shape(spec.maturity, params.nu) is not None:
+            continue  # exact: its rows share coefficient tables instead
+        specs = [contracts[i][0] for i in members]
+        if repetitions > 1:
+            price_cgz_group(specs, params, cfg)  # warm-up, excluded from timing
+        runs = [price_cgz_group(specs, params, cfg) for _ in range(repetitions)]
+        for j, (idx, quote) in enumerate(zip(members, runs[-1])):
+            if repetitions > 1 and not isinstance(quote, Exception):
+                quote = replace(quote, elapsed=statistics.median(run[j].elapsed for run in runs))
+            grouped[idx] = quote
+    return grouped
 
 
 def _median_quote(method, spec, params, cfg, seed, mc_paths, repetitions, tables):

@@ -195,7 +195,8 @@ def _rule(level: int) -> np.ndarray:
 
 def _weighted_terms(f_second, alpha: float, x: float, nodes: np.ndarray) -> np.ndarray:
     """Integrand times the tanh-sinh weight at the abscissae whose
-    ``_rule`` columns are ``nodes``: one f_second call.
+    ``_rule`` columns are ``nodes``: one f_second call, one row of terms
+    per row of integrands it returns.
 
     y = 1 / (1 + e^{-u}) with u = pi sinh t, so dy/dt = pi cosh t y (1 - y);
     y and 1 - y come from their logarithms, exact at both ends.
@@ -206,11 +207,12 @@ def _weighted_terms(f_second, alpha: float, x: float, nodes: np.ndarray) -> np.n
 
 
 def frac_deriv_quadrature(
-    f_second: Callable[[np.ndarray], np.ndarray],
+    f_second: Callable[..., np.ndarray],
     alpha: float,
     x: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
+    rows: int | None = None,
+) -> tuple[float, float] | list[tuple[float, float] | QuadratureAccuracyError]:
     """D^alpha f at x from the second derivative of f alone.
 
     ``f_second`` must be the exact second derivative of a function whose
@@ -229,6 +231,16 @@ def frac_deriv_quadrature(
     error estimate: that last difference plus the round-off floor and
     the truncated tails, so never 0 for a nonzero integrand.  Raises
     QuadratureAccuracyError when the halvings run out first.
+
+    With ``rows`` = R it differentiates R functions at the same x and
+    order, whose nodes are therefore the same: the first call,
+    ``f_second(lam)``, returns an (R x len(lam)) array, one integrand
+    per row.  Each row then cuts its own range, runs its own
+    convergence test and error estimate, and takes its further levels
+    alone, through ``f_second(lam, i)`` for row i.  Row i gets the
+    floats a call without ``rows`` would on its integrand.  Returns a
+    list of R entries in row order: (value, error estimate), or the
+    QuadratureAccuracyError of a row that did not converge.
     """
     _check_order(alpha)
     if not (x > 0.0):
@@ -237,69 +249,84 @@ def frac_deriv_quadrature(
     prefactor = -(x ** (2.0 - alpha)) / math.gamma(2.0 - alpha)
 
     # one f_second call covers levels 0.._FIRST_LEVEL at once, out to
-    # _T_MAX; a side keeps its nodes past _T_CORE only when its outermost
-    # core term is not negligible.  The range is then cut where the terms
-    # left out on either side add up to below _TAIL_RTOL of the total,
-    # keeping one such term per side as the edge for later levels.  At
-    # alpha < 0 the same call also takes the next level's nodes over the
-    # whole range, since those integrands often need that level.
+    # _T_MAX, for every row.  At alpha < 0 the same call also takes the
+    # next level's nodes over the whole range, since those integrands
+    # often need that level.
     max_level = min(cfg.max_subdivisions, _MAX_HALVINGS)
-    level = min(_FIRST_LEVEL, max_level)
-    step = _H0 / 2**level
-    nodes = _rule(level)
+    base_level = min(_FIRST_LEVEL, max_level)
+    base_step = _H0 / 2**base_level
+    nodes = _rule(base_level)
     width = nodes.shape[1]
-    look_ahead = alpha < 0.0 and level < max_level
+    look_ahead = alpha < 0.0 and base_level < max_level
     if look_ahead:
-        nodes = np.concatenate((nodes, _rule(level + 1)), axis=1)
-    terms = _weighted_terms(f_second, alpha, x, nodes)
-    terms, ahead = terms[:width], (terms[width:] if look_ahead else None)
-    mags = np.abs(terms)
-    k_max, k_core = width // 2, int(_T_CORE / step)
-    first, last = k_max - k_core, k_max + k_core
-    edge = _TAIL_RTOL * mags[first : last + 1].sum()
-    first = 0 if mags[first] > edge else first
-    last = width - 1 if mags[last] > edge else last
-    terms, mags = terms[first : last + 1], mags[first : last + 1]
-    lo, hi = 0, len(terms)
-    tail_tol = _TAIL_RTOL * mags.sum()
-    if tail_tol > 0.0:
-        left = int(mags.cumsum().searchsorted(tail_tol, side="right"))
-        right = int(mags[::-1].cumsum().searchsorted(tail_tol, side="right"))
-        lo, hi = max(left - 1, 0), hi - max(right - 1, 0)
-    tail = step * float(mags[:lo].sum() + mags[hi:].sum())
-    terms, mags = terms[lo:hi], mags[lo:hi]
-    # the range runs from column `first` of the first level's grid, whose
-    # node sits at k = first - k_max
-    first += lo
-    intervals = len(terms) - 1
+        nodes = np.concatenate((nodes, _rule(base_level + 1)), axis=1)
+    first_terms = _weighted_terms(f_second, alpha, x, nodes)
 
-    total, total_abs = float(terms.sum()), float(mags.sum())
-    prev = 2.0 * step * float(terms[(first - k_max) % 2 :: 2].sum())
-    value = step * total
-    while True:
-        diff = abs(value - prev)
-        floor = _ROUNDOFF * step * total_abs + tail
-        if not math.isfinite(value):
-            break
-        if diff <= max(cfg.rel_tol * abs(value), cfg.abs_tol * step * total_abs, floor):
-            return prefactor * value, abs(prefactor) * (diff + floor)
-        if level == max_level:
-            break
-        level += 1
-        step /= 2.0
-        # this level's new nodes inside the range, as columns of its rule
-        start = first << (level - _FIRST_LEVEL - 1)
-        new = slice(start, start + intervals)
-        if ahead is not None:
-            terms, ahead = ahead[new], None
-        else:
-            terms = _weighted_terms(f_second, alpha, x, _rule(level)[:, new])
-        intervals *= 2
-        total += float(terms.sum())
-        total_abs += float(np.abs(terms).sum())
-        prev, value = value, step * total
-    raise QuadratureAccuracyError(
-        "fractional-derivative quadrature did not converge",
-        prefactor * value,
-        abs(prefactor) * (diff + floor),
-    )
+    def settle(terms: np.ndarray, f_row) -> tuple[float, float]:
+        """One row from its first call's terms to convergence."""
+        level, step = base_level, base_step
+        terms, ahead = terms[:width], (terms[width:] if look_ahead else None)
+        # a side keeps its nodes past _T_CORE only when its outermost core
+        # term is not negligible.  The range is then cut where the terms
+        # left out on either side add up to below _TAIL_RTOL of the total,
+        # keeping one such term per side as the edge for later levels.
+        mags = np.abs(terms)
+        k_max, k_core = width // 2, int(_T_CORE / step)
+        first, last = k_max - k_core, k_max + k_core
+        edge = _TAIL_RTOL * mags[first : last + 1].sum()
+        first = 0 if mags[first] > edge else first
+        last = width - 1 if mags[last] > edge else last
+        terms, mags = terms[first : last + 1], mags[first : last + 1]
+        lo, hi = 0, len(terms)
+        tail_tol = _TAIL_RTOL * mags.sum()
+        if tail_tol > 0.0:
+            left = int(mags.cumsum().searchsorted(tail_tol, side="right"))
+            right = int(mags[::-1].cumsum().searchsorted(tail_tol, side="right"))
+            lo, hi = max(left - 1, 0), hi - max(right - 1, 0)
+        tail = step * float(mags[:lo].sum() + mags[hi:].sum())
+        terms, mags = terms[lo:hi], mags[lo:hi]
+        # the range runs from column `first` of the first level's grid, whose
+        # node sits at k = first - k_max
+        first += lo
+        intervals = len(terms) - 1
+
+        total, total_abs = float(terms.sum()), float(mags.sum())
+        prev = 2.0 * step * float(terms[(first - k_max) % 2 :: 2].sum())
+        value = step * total
+        while True:
+            diff = abs(value - prev)
+            floor = _ROUNDOFF * step * total_abs + tail
+            if not math.isfinite(value):
+                break
+            if diff <= max(cfg.rel_tol * abs(value), cfg.abs_tol * step * total_abs, floor):
+                return prefactor * value, abs(prefactor) * (diff + floor)
+            if level == max_level:
+                break
+            level += 1
+            step /= 2.0
+            # this level's new nodes inside the range, as columns of its rule
+            start = first << (level - _FIRST_LEVEL - 1)
+            new = slice(start, start + intervals)
+            if ahead is not None:
+                terms, ahead = ahead[new], None
+            else:
+                terms = _weighted_terms(f_row, alpha, x, _rule(level)[:, new])
+            intervals *= 2
+            total += float(terms.sum())
+            total_abs += float(np.abs(terms).sum())
+            prev, value = value, step * total
+        raise QuadratureAccuracyError(
+            "fractional-derivative quadrature did not converge",
+            prefactor * value,
+            abs(prefactor) * (diff + floor),
+        )
+
+    if rows is None:
+        return settle(first_terms, f_second)
+    results: list = []
+    for i in range(rows):
+        try:
+            results.append(settle(first_terms[i], lambda lam, i=i: f_second(lam, i)))
+        except QuadratureAccuracyError as exc:
+            results.append(exc)
+    return results

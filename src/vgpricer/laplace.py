@@ -94,10 +94,11 @@ turns into one for the p_k:
 
 Every term is positive, so the sum has no cancellation and needs no
 C^1 check and no level cap.  ``log_bessel_series`` evaluates its
-logarithm over an array of lam in O(n): this is how the
-fractional-derivative quadrature of ``price_put_cgz`` evaluates
-m^(n+2) at all of its nodes, and how it prices an integer t/nu that the
-tables do not reach, on the one node lam = 1/nu.  It is the
+logarithm over an array of lam in O(n), for one z or for a row per z:
+this is how the fractional-derivative quadrature of ``price_put_cgz``
+evaluates m^(n+2) at all of its nodes (for every contract of a
+``price_cgz_group`` group at once), and how it prices an integer t/nu
+that the tables do not reach, on the one node lam = 1/nu.  It is the
 half-integer Bessel structure behind the closed form of Madan, Carr &
 Chang (1998).
 """
@@ -404,34 +405,42 @@ def eval_m_dx(table: CoeffTable, n: int, x: float):
     return (dpoly + theta * poly) * math.exp(theta * z)
 
 
-def log_bessel_series(lam, z: float, params: VgParams, n: int) -> np.ndarray:
+def log_bessel_series(lam, z, params: VgParams, n: int) -> np.ndarray:
     """log sum_{k=0..n} p_k(lam) over a 1-d array of lam (module docstring).
 
     The exponential part of m^(n) at log-moneyness z = x - log K is
     (-1)^n (K sigma/sqrt(2 pi)) e^{-mu z/sigma^2} n! lam^{-(n+1)} times
     the exponential of this, so a caller can fold its own factors into
-    one exponent per lam.  One pass of the three-term recurrence over
-    the whole array: O(n) numpy operations, each writing into a buffer
-    allocated before the loop.
+    one exponent per lam.  A float z gives one value per lam; a 1-d
+    array of z, one per row of contracts that share (sigma, nu), gives
+    a (rows x lam) array, row i at z[i].  One pass of the three-term
+    recurrence over the whole array: O(n) numpy operations for any
+    number of rows, each writing into a buffer allocated before the
+    loop.  Row i holds the floats that z[i] alone gives.
 
     Off the strike the loop runs on the p_k scaled by e^shift (see
     ``_X_LO``) and the shift leaves again in log space, so nothing
     overflows and p_0 does not underflow before the terms it seeds
     become negligible.  At the strike (z = 0) p_0 = sqrt(pi)/(2 sqrt(s))
     needs no shift and r = 0 drops the second addend of the recurrence,
-    so that branch skips both and returns the same floats.
+    so when every row is at the strike a shorter loop skips both; it
+    returns the same floats as the general loop does at z = 0.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or (lam.size and not (lam.min() > 0.0 and math.isfinite(lam.max()))):
         raise ValueError("lam must be a 1-d array of positive finite values")
     if n < 0:
         raise ValueError(f"series level must be >= 0, got {n}")
+    z = np.asarray(z, dtype=float)
+    if z.ndim > 1:
+        raise ValueError("z must be a float or a 1-d array")
     sig2 = params.sigma * params.sigma
     s = lam + params.mu * params.mu / (2.0 * sig2)
     root_s = np.sqrt(s)
-    a = abs(z) * math.sqrt(2.0) / params.sigma
+    # one row of a per z: shape (1,) for a float z, (rows, 1) for an array
+    a = np.abs(z)[..., None] * math.sqrt(2.0) / params.sigma
     prev = 0.5 * math.sqrt(math.pi) / root_s
-    if a == 0.0:
+    if not a.any():
         # at the strike e^(shift - x) = 1, and with r = 0 the second addend
         # of every p_(k+1) is 0, so p_(k+1) = lam (k+1/2)/((k+1) s) p_k
         total = prev.copy()
@@ -443,10 +452,11 @@ def log_bessel_series(lam, z: float, params: VgParams, n: int) -> np.ndarray:
                 np.multiply((k + 0.5) / (k + 1), cur, out=cur)
                 np.multiply(ratio, cur, out=cur)
                 total += cur
-        return np.log(total, out=total)
+        np.log(total, out=total)
+        return total if z.ndim == 0 else np.tile(total, (z.size, 1))
     x = a * root_s
     shift = np.minimum(np.maximum(x - _X_LO, 0.0), _X_HI)
-    prev *= np.exp(np.subtract(shift, x, out=x), out=x)
+    prev = np.multiply(prev, np.exp(np.subtract(shift, x, out=x), out=x), out=x)
     total = prev.copy()
     if n >= 1:
         r = a / (2.0 * root_s)
@@ -467,6 +477,6 @@ def log_bessel_series(lam, z: float, params: VgParams, n: int) -> np.ndarray:
             total += cur
     # p_0 underflows only past a sqrt(s) ~ 1300, where for n <= 1000
     # every term is below e^-300 times its bound; -inf stands for that
-    out = np.full(lam.shape, -np.inf)
+    out = np.full(total.shape, -np.inf)
     np.log(total, out=out, where=total > 0.0)
     return np.subtract(out, shift, out=out)

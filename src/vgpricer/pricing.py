@@ -21,7 +21,8 @@
     K - S on the in-the-money side, and the exponentially decaying
     remainder through the f''-quadrature with f'' = (exponential part
     of) m^(n+2).  That is a tanh-sinh rule whose nodes lam0/y go
-    together, as one numpy array (usually one per price), through the
+    together, as one numpy array (usually one per price, or one per
+    group of prices that share t, sigma and nu), through the
     positive half-integer Bessel series of the exponential part
     (``laplace.log_bessel_series``: the recurrence DLMF 10.29.1 on the
     transform A&S 29.3.84), so no level cap and no cancellation.
@@ -40,7 +41,11 @@
 
 ``price`` is the entry point: it picks one of these routes, prices a
 call as the put of the same contract plus zero-rate parity
-C = P + S - K, and times the pricer.
+C = P + S - K, and times the pricer.  ``price_cgz_group`` does the same
+for ``cgz`` contracts that share their maturity and parameters, such
+as a strike ladder: at fractional t/nu their quadratures share the
+nodes, so the first series call covers every row as one
+(rows x nodes) array, and each row then converges on its own.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ __all__ = [
     "McConfig",
     "black_scholes_put",
     "vg_charfunc",
+    "integer_shape",
     "price_put_cgz",
     "price_put_mixture",
     "price_put_fourier",
@@ -77,6 +83,7 @@ __all__ = [
     "price_put_mc",
     "call_from_put",
     "price",
+    "price_cgz_group",
 ]
 
 METHODS = ("cgz", "mixture", "fourier", "mc")
@@ -212,6 +219,17 @@ def vg_charfunc(u, t: float, params: VgParams):
 # closed-form route
 
 
+def integer_shape(maturity: float, nu: float) -> int | None:
+    """The gamma clock's shape t/nu as an int when it lies within 1e-9
+    relative of a positive integer, where ``cgz`` prices exactly; else None.
+    """
+    rho = maturity / nu
+    k = round(rho)
+    if k >= 1 and abs(rho - k) <= _INTEGER_RTOL * max(1.0, rho):
+        return k
+    return None
+
+
 def price_put_cgz(
     spec: OptionSpec,
     params: VgParams,
@@ -228,10 +246,11 @@ def price_put_cgz(
     over the whole array of nodes at once, with the factor
     (1/nu)^rho/Gamma(rho) (n+2)! lam^-(n+3) folded into one exponent per
     node, so fractional t/nu prices without overflow up to ~1000 and
-    beyond.  At integer t/nu = n + 1 the price reads level n of the
-    coefficient table at lam = 1/nu; past ``MAX_LEVEL``, or where a level
-    up to n fails the table's C^1 check, it takes the same series on the
-    one node 1/nu instead.
+    beyond.  The fractional price is that of ``price_cgz_group`` on a
+    group of one.  At integer t/nu = n + 1 the price reads level n of
+    the coefficient table at lam = 1/nu; past ``MAX_LEVEL``, or where a
+    level up to n fails the table's C^1 check, it takes the same series
+    on the one node 1/nu instead.
 
     ``tables`` is an optional memo owned by the caller, keyed by
     (strike, params).  At integer t/nu calls that share a memo share
@@ -241,60 +260,104 @@ def price_put_cgz(
     the same level, as a fresh build.
     """
     _require_put(spec)
+    k = integer_shape(spec.maturity, params.nu)
+    if k is None:
+        quote = _fractional_cgz([spec], params, cfg)[0]
+        if isinstance(quote, Exception):
+            raise quote
+        return quote
     lam0 = 1.0 / params.nu
     rho = spec.maturity / params.nu
     x = spec.log_spot
     strike = spec.strike
     z = x - math.log(strike)
-    # the power rule on the power-law terms of m^(n) gives exactly the
-    # intrinsic value: the factorials and the powers of lam0 cancel
-    intrinsic = strike - spec.spot if z <= 0.0 else 0.0
-    # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~1000)
-    log_pref = rho * math.log(lam0) - gammaln(rho)
-
-    k = round(rho)
-    if k >= 1 and abs(rho - k) <= _INTEGER_RTOL * max(1.0, rho):
-        n = k - 1
-        memo = {} if tables is None else tables
-        table = None
-        if n <= MAX_LEVEL:
-            held = memo.get((strike, params))
-            try:
-                table = (build_coeff_table(lam0, strike, params, max_level=n)
-                         if held is None else extend_to_level(held, n))
-            except ArithmeticError:  # a level up to n fails the C^1 check
-                pass
-        if table is not None:
-            memo[(strike, params)] = table
-            value = math.exp(log_pref) * (-1.0) ** n * eval_m(table, n, x)
-        else:
-            # here (1/nu)^rho/Gamma(rho) n! lam0^-(n+1) is exactly 1
-            log_series = log_bessel_series(np.array([lam0]), z, params, n)[0]
-            value = intrinsic + math.exp(
-                log_series - params.mu * z / params.sigma**2
-                + math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
-            )
-        diag = None
+    n = k - 1
+    memo = {} if tables is None else tables
+    table = None
+    if n <= MAX_LEVEL:
+        held = memo.get((strike, params))
+        try:
+            table = (build_coeff_table(lam0, strike, params, max_level=n)
+                     if held is None else extend_to_level(held, n))
+        except ArithmeticError:  # a level up to n fails the C^1 check
+            pass
+    if table is not None:
+        memo[(strike, params)] = table
+        # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~1000)
+        log_pref = rho * math.log(lam0) - gammaln(rho)
+        value = math.exp(log_pref) * (-1.0) ** n * eval_m(table, n, x)
     else:
-        n = max(math.floor(rho - 1.0), 0)
-        alpha = rho - 1.0 - n
-        # f'' is (1/nu)^rho/Gamma(rho) |exponential part of m^(n+2)|; its
-        # sign (-1)^n times the formula's (-1)^(n+1) is the minus below
-        log_coef = (
-            log_pref + math.lgamma(n + 3.0) - params.mu * z / params.sigma**2
+        # here (1/nu)^rho/Gamma(rho) n! lam0^-(n+1) is exactly 1; the
+        # power rule on the power-law terms of m^(n) gives exactly the
+        # intrinsic value: the factorials and the powers of lam0 cancel
+        intrinsic = strike - spec.spot if z <= 0.0 else 0.0
+        log_series = log_bessel_series(np.array([lam0]), z, params, n)[0]
+        value = intrinsic + math.exp(
+            log_series - params.mu * z / params.sigma**2
             + math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
         )
-
-        def f_second(lam: np.ndarray) -> np.ndarray:
-            log_series = log_bessel_series(lam, z, params, n + 2)
-            return np.exp(log_coef - (n + 3.0) * np.log(lam) + log_series)
-
-        d_exp, qerr = frac_deriv_quadrature(f_second, alpha, lam0, cfg)
-        value = intrinsic - d_exp
-        diag = qerr
-
     _check_put_bounds(value, spec, "cgz")
-    return PriceQuote(value, "cgz", diag)
+    return PriceQuote(value, "cgz", None)
+
+
+def _fractional_cgz(puts: list[OptionSpec], params: VgParams,
+                    cfg: QuadratureConfig) -> list[PriceQuote | Exception]:
+    """``cgz`` puts that share a fractional t/nu and ``params``, one quote
+    or one exception per row.
+
+    Their quadratures share the nodes lam0/y, so the first ``f_second``
+    call evaluates the series for every row at once, as a (rows x
+    nodes) array; a row that needs a further level evaluates its own new
+    nodes (``frac_deriv_quadrature`` with ``rows``).  Should that shared
+    call raise, each row is priced alone, so that a row that fails
+    fails by itself.
+    """
+    lam0 = 1.0 / params.nu
+    rho = puts[0].maturity / params.nu
+    n = max(math.floor(rho - 1.0), 0)
+    alpha = rho - 1.0 - n
+    # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~1000),
+    # times (n+2)!
+    log_fact = rho * math.log(lam0) - gammaln(rho) + math.lgamma(n + 3.0)
+    zs, log_coefs, intrinsics = [], [], []
+    for spec in puts:
+        strike = spec.strike
+        z = spec.log_spot - math.log(strike)
+        zs.append(z)
+        # f'' is (1/nu)^rho/Gamma(rho) |exponential part of m^(n+2)|; its
+        # sign (-1)^n times the formula's (-1)^(n+1) is the minus below
+        log_coefs.append(
+            log_fact - params.mu * z / params.sigma**2
+            + math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
+        )
+        # the power rule on the power-law terms of m^(n) gives exactly the
+        # intrinsic value: the factorials and the powers of lam0 cancel
+        intrinsics.append(strike - spec.spot if z <= 0.0 else 0.0)
+    group_z, group_coef = np.array(zs), np.array(log_coefs)[:, None]
+
+    def f_second(lam: np.ndarray, row: int | None = None) -> np.ndarray:
+        z, coef = (group_z, group_coef) if row is None else (zs[row], log_coefs[row])
+        log_series = log_bessel_series(lam, z, params, n + 2)
+        return np.exp(coef - (n + 3.0) * np.log(lam) + log_series)
+
+    try:
+        settled = frac_deriv_quadrature(f_second, alpha, lam0, cfg, rows=len(puts))
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        if len(puts) == 1:
+            return [exc]
+        return [q for spec in puts for q in _fractional_cgz([spec], params, cfg)]
+    quotes: list[PriceQuote | Exception] = []
+    for spec, intrinsic, result in zip(puts, intrinsics, settled):
+        if not isinstance(result, Exception):
+            d_exp, qerr = result
+            value = intrinsic - d_exp
+            try:
+                _check_put_bounds(value, spec, "cgz")
+                result = PriceQuote(value, "cgz", qerr)
+            except (ValueError, ArithmeticError) as exc:
+                result = exc
+        quotes.append(result)
+    return quotes
 
 
 # ---------------------------------------------------------------------------
@@ -617,3 +680,33 @@ def price(
     elapsed = time.perf_counter() - t0
     value = quote.value if put is spec else call_from_put(quote.value, spec.spot, spec.strike)
     return PriceQuote(value, method, quote.diagnostics, elapsed, spec.side)
+
+
+def price_cgz_group(
+    specs: list[OptionSpec],
+    params: VgParams,
+    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> list[PriceQuote | Exception]:
+    """Price with ``cgz`` puts that share a fractional t/nu and ``params``,
+    such as a strike ladder, timed as one group.
+
+    Their quadratures share the nodes lam0/y, so the first series call
+    evaluates every row at once and one quadrature runs per row from
+    there on; each quote has the value and diagnostics that ``price``
+    gives the row.  Returns, in row order, a quote or the
+    ``ValueError``, ``ArithmeticError`` or ``RuntimeError`` that row
+    raised.  Each quote's ``elapsed`` is the group's wall time split
+    evenly over its rows.  Integer t/nu is exact and takes ``price``.
+    """
+    for spec in specs:
+        _require_put(spec)
+    if len({spec.maturity for spec in specs}) > 1:
+        raise ValueError("the contracts of a group must share their maturity")
+    if not specs:
+        return []
+    if integer_shape(specs[0].maturity, params.nu) is not None:
+        raise ValueError("at integer t/nu cgz is exact: price each contract with price")
+    t0 = time.perf_counter()
+    quotes = _fractional_cgz(specs, params, cfg)
+    elapsed = (time.perf_counter() - t0) / len(specs)
+    return [q if isinstance(q, Exception) else replace(q, elapsed=elapsed) for q in quotes]

@@ -23,9 +23,12 @@ its stated tolerance:
     which itself reproduces the published T1 values,
   * the Fourier inversion prices every integer t/nu up to 100 within
     1e-9 K of the closed form, without a warning,
-  * and, at one damping exponent chosen inside the moment strip, it
+  * at one damping exponent chosen inside the moment strip, it
     prices the box and the wider box (t/nu log-uniform, nu sigma^2 up
-    to 2) within 1e-9 K of the closed form, without a warning.
+    to 2) within 1e-9 K of the closed form, without a warning,
+  * and the closed form priced a strike ladder at a time gives every
+    row the bits, or the error, it gets priced alone, over the wider
+    box at five quadrature settings.
 """
 
 import importlib.util
@@ -39,6 +42,7 @@ import pytest
 from vgpricer import (
     McConfig,
     OptionSpec,
+    QuadratureConfig,
     VgParams,
     build_coeff_table,
     builtin_table_rows,
@@ -47,6 +51,7 @@ from vgpricer import (
     frac_deriv_exp,
     frac_deriv_power,
     frac_deriv_quadrature,
+    price_cgz_group,
     price_put_cgz,
     price_put_fourier,
     price_put_mc,
@@ -492,4 +497,69 @@ def test_closed_form_error_estimate_is_honest():
         not bad,
         f"0 < diagnostics < 1e-6 and |cgz - mixture| <= both diagnostics + 1e-12 K "
         f"on {len(cases) - len(bad)}/{len(cases)} fractional rows; failures: {bad[:3]}",
+    )
+
+
+# quadrature settings of the ladder gate: three tolerances, and two caps
+# on the halvings under which some rows fail
+LADDER_CONFIGS = {
+    "default": QuadratureConfig(),
+    "tight": QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14),
+    "loose": QuadratureConfig(rel_tol=1e-6, abs_tol=1e-8),
+    "tight, 4 halvings": QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=4),
+    "3 halvings": QuadratureConfig(max_subdivisions=3),
+}
+
+
+def _outcome(quote_or_error):
+    if isinstance(quote_or_error, Exception):
+        return type(quote_or_error).__name__, str(quote_or_error)
+    return quote_or_error.value.hex(), quote_or_error.diagnostics.hex()
+
+
+def _alone(spec, params, cfg):
+    try:
+        return _outcome(price_put_cgz(spec, params, cfg))
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return _outcome(exc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ladders_price_like_their_rows_alone():
+    # 120 seeded ladders of five strikes in the wider box, fractional
+    # t/nu log-uniform up to 1000, one row of each exactly at the money
+    rng = np.random.default_rng(BOX_SEED + 4)
+    ladders = []
+    for _ in range(120):
+        sigma = float(rng.uniform(*WIDE_SIGMA_BOX))
+        nu = float(rng.uniform(*WIDE_NU_BOX))
+        rho = math.exp(rng.uniform(*np.log(WIDE_RHO_BOX)))
+        if abs(rho - round(rho)) < 1e-6:
+            rho += 0.5
+        moneyness = [1.0] + [math.exp(rng.uniform(*np.log(WIDE_MONEYNESS_BOX)))
+                             for _ in range(4)]
+        rng.shuffle(moneyness)
+        specs = [OptionSpec(100.0 * m, 100.0, rho * nu) for m in moneyness]
+        ladders.append((specs, VgParams(sigma, nu)))
+    mismatched, counts = [], {}
+    for name, cfg in LADDER_CONFIGS.items():
+        failed = mixed = 0
+        for specs, params in ladders:
+            got = [_outcome(q) for q in price_cgz_group(specs, params, cfg)]
+            want = [_alone(spec, params, cfg) for spec in specs]
+            mismatched += [(name, spec, params, g, w)
+                           for spec, g, w in zip(specs, got, want) if g != w]
+            fails = sum(1 for g in got if g[0] == "QuadratureAccuracyError")
+            failed += fails
+            mixed += 0 < fails < len(specs)
+        counts[name] = (failed, mixed)
+    # the capped settings fail some rows, and some ladders only in part
+    assert all(counts[name][1] > 0 for name in ("tight, 4 halvings", "3 halvings"))
+    _report(
+        "cgz ladders",
+        not mismatched,
+        f"{len(ladders)} ladders of 5 rows at {len(LADDER_CONFIGS)} settings: every "
+        f"grouped quote float.hex-identical to its row alone, every failure the same "
+        f"type and message; (failed rows, ladders failing in part) per setting "
+        f"{counts}; mismatches: {mismatched[:3]}",
     )

@@ -1,11 +1,17 @@
 """The benchmark harness: built-in tables, scenario runs, report rendering."""
 
 import csv
+import importlib.util
 import io
 import json
+import math
 import random
+import statistics
 import time
+import types
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vgpricer.laplace as laplace
@@ -331,6 +337,133 @@ def test_repetitions_time_each_rows_own_extension():
             times.append(time.perf_counter() - t0)
         assert r.quotes["cgz"].elapsed >= 0.25 * min(times)
         prev = n
+
+
+# ---------------------------------------------------------------------------
+# fractional cgz rows that share (maturity, sigma, nu) price as one group
+
+# t/nu 2.55 at sigma 0.2, nu 0.3: strikes around a spot of 100
+LADDER_STRIKES = (80.0, 90.0, 100.0, 110.0, 120.0)
+
+
+def _frac_ladder(sigma=0.2, nu=0.3, strikes=LADDER_STRIKES, methods=("cgz",)):
+    return [ScenarioRow("ladder", 2.55 * nu, 100.0, k, sigma, nu, methods) for k in strikes]
+
+
+def _spy_groups(monkeypatch):
+    """Record the size of every group ``run_scenarios`` prices together."""
+    import vgpricer.bench as bench
+
+    sizes = []
+    real = bench.price_cgz_group
+
+    def spy(specs, params, cfg):
+        sizes.append(len(specs))
+        return real(specs, params, cfg)
+
+    monkeypatch.setattr(bench, "price_cgz_group", spy)
+    return sizes
+
+
+def test_a_row_that_fails_mid_group_fails_alone(monkeypatch):
+    rows = _frac_ladder()
+    want = _separately(rows)
+    # the series refuses the z of the 110 strike, alone or in an array
+    bad_z = math.log(100.0) - math.log(110.0)
+    real = pricing.log_bessel_series
+    shapes = []
+
+    def refuse_one(lam, z, params, n):
+        shapes.append(np.ndim(z))
+        if np.any(np.asarray(z) == bad_z):
+            raise ValueError("series refused")
+        return real(lam, z, params, n)
+
+    monkeypatch.setattr(pricing, "log_bessel_series", refuse_one)
+    sizes = _spy_groups(monkeypatch)
+    report = run_scenarios(rows)
+    assert sizes == [5] and shapes[0] == 1  # the group's shared call was tried
+    assert [list(r.errors) for r in report.rows] == [[], [], [], ["cgz"], []]
+    assert report.rows[3].errors["cgz"] == "ValueError: series refused"
+    got = [_bits(r.quotes["cgz"]) for r in report.rows if not r.errors]
+    assert got == want[:3] + want[4:]
+
+
+def test_groups_keep_row_order_and_mc_seeds_among_other_rows(monkeypatch):
+    a, b = _frac_ladder(), _frac_ladder(0.35, 0.6, (95.0, 105.0))
+    rows = [
+        a[0],
+        ScenarioRow("int", 0.6, 100.0, 90.0, 0.2, 0.3, ("cgz", "mc")),  # t/nu 2
+        b[0],
+        ScenarioRow("mc", a[1].maturity, 100.0, 90.0, 0.2, 0.3, ("mc",)),
+        ScenarioRow("bad", a[2].maturity, 100.0, 90.0, 0.0, 0.3, ("cgz",)),
+        a[1],
+        ScenarioRow("both", a[2].maturity, 100.0, 100.0, 0.2, 0.3, ("mc", "cgz")),
+        b[1],
+        a[3],
+    ]
+    sizes = _spy_groups(monkeypatch)
+    report = run_scenarios(rows, seed=13, mc_paths=4_000)
+    assert sorted(sizes) == [2, 4]  # ladder a with the "both" row, and ladder b
+    assert [r.scenario for r in report.rows] == rows
+    assert [sorted(r.errors) for r in report.rows] == [[]] * 4 + [["*"]] + [[]] * 4
+    cgz = [i for i, row in enumerate(rows) if "cgz" in row.methods and i != 4]
+    assert [_bits(report.rows[i].quotes["cgz"]) for i in cgz] == _separately(
+        [rows[i] for i in cgz])
+    for idx in (1, 3, 6):
+        row = rows[idx]
+        spec = OptionSpec(spot=row.spot, strike=row.strike, maturity=row.maturity)
+        mc = pricing.McConfig(4_000, seed=np_seed_for_row(13, idx))
+        want = pricing.price_put_mc(spec, VgParams(sigma=row.sigma, nu=row.nu), mc)
+        got = report.rows[idx].quotes["mc"]
+        assert (got.value, got.diagnostics) == (want.value, want.diagnostics)
+    # each row keeps the order of its own methods
+    assert list(report.rows[6].quotes) == ["mc", "cgz"]
+
+
+def test_a_group_reports_its_median_time_split_over_its_rows(monkeypatch):
+    # four group calls (a warm-up and three repetitions) read the clock
+    # twice each; the warm-up's 100 s is discarded
+    clock = iter([0.0, 100.0, 0.0, 8.0, 0.0, 2.0, 0.0, 12.0])
+    monkeypatch.setattr(pricing, "time", types.SimpleNamespace(perf_counter=clock.__next__))
+    rows = _frac_ladder(strikes=(90.0, 100.0, 110.0, 120.0))
+    report = run_scenarios(rows, repetitions=3)
+    assert next(clock, None) is None
+    median = statistics.median([8.0, 2.0, 12.0])
+    assert [r.quotes["cgz"].elapsed for r in report.rows] == [median / len(rows)] * len(rows)
+
+
+def _frac_ladders_workload(seed):
+    """The requests of the benchmark's frac_ladders workload, loaded by path
+    (the module imports numpy only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [[ScenarioRow(*row) for row in req] for req in workloads.frac_ladders(seed)]
+
+
+def test_frac_ladders_take_one_series_call_per_ladder(monkeypatch):
+    requests = _frac_ladders_workload(1)
+    rows = [row for req in requests for row in req]
+    real = pricing.log_bessel_series
+    shapes = []
+
+    def counted(lam, z, params, n):
+        shapes.append(np.ndim(z))
+        return real(lam, z, params, n)
+
+    monkeypatch.setattr(pricing, "log_bessel_series", counted)
+    for row in rows:  # alone: one call per price, plus one per extra level
+        price_put_cgz(OptionSpec(row.spot, row.strike, row.maturity), VgParams(row.sigma, row.nu))
+    extra_levels = len(shapes) - len(rows)
+    shapes.clear()
+    for req in requests:
+        assert run_scenarios(req).error_count == 0
+    # one shared call per ladder, and each row's extra levels on its own
+    assert shapes.count(1) == len(requests) == 96
+    assert shapes.count(0) == extra_levels
+    assert len(shapes) / len(rows) <= 0.3
 
 
 # ---------------------------------------------------------------------------

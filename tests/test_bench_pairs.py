@@ -82,3 +82,25 @@ def test_a_gain_is_void_when_the_change_fails_more_or_is_not_correct():
     assert _runs(change_failed=0)["prices_per_s"]["verdict"] == "gain"
     assert _runs(change_failed=2)["prices_per_s"]["verdict"] == "gain void"
     assert _runs(change_failed=1, change_correct=False)["prices_per_s"]["verdict"] == "gain void"
+
+
+def test_seeds_where_the_change_failed_a_larger_share_are_named():
+    def run(seed, parent, change):
+        return {"seed": seed,
+                "parent": {"failed": parent[0], "attempted": parent[1]},
+                "change": {"failed": change[0], "attempted": change[1]}}
+
+    runs = [
+        run(1, (1, 1000), (1, 1000)),
+        run(2, (1, 1000), (3, 1200)),  # a larger share: named
+        run(3, (1, 1000), (2, 2000)),  # more failures, the same share: not named
+        run(4, (0, 1000), (1, 1400)),
+        run(5, (2, 1000), (0, 1000)),
+    ]
+    assert bench_pairs.more_failures(runs) == [
+        {"seed": 2, "parent": {"failed": 1, "attempted": 1000},
+         "change": {"failed": 3, "attempted": 1200}},
+        {"seed": 4, "parent": {"failed": 0, "attempted": 1000},
+         "change": {"failed": 1, "attempted": 1400}},
+    ]
+    assert bench_pairs.more_failures(runs[:1]) == []

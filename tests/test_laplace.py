@@ -466,3 +466,18 @@ def test_series_validates_its_input():
         log_bessel_series(np.ones((2, 2)), 0.1, P, 3)
     with pytest.raises(ValueError):
         log_bessel_series(np.array([1.0]), 0.1, P, -1)
+    with pytest.raises(ValueError):
+        log_bessel_series(np.array([1.0]), np.zeros((2, 2)), P, 3)
+
+
+def test_series_rows_are_the_floats_of_each_z_alone():
+    # one row per z, far out and at the strike alike; a group of rows all
+    # at the strike takes the strike loop, mixed rows the general one
+    params = VgParams(sigma=0.03, nu=0.02)
+    lam = 50.0 * np.exp(np.linspace(0.0, 140.0, 57))
+    for zs in ([-1.6, 0.0, 0.2, 1.6], [0.0, 0.0], [0.05]):
+        for n in (0, 1, 7, 300):
+            rows = log_bessel_series(lam, np.array(zs), params, n)
+            assert rows.shape == (len(zs), lam.size)
+            alone = [log_bessel_series(lam, z, params, n) for z in zs]
+            assert [r.tobytes() for r in rows] == [a.tobytes() for a in alone]

@@ -26,6 +26,7 @@ from vgpricer import (
     call_from_put,
     fourier_put_ladder,
     price,
+    price_cgz_group,
     price_put_cgz,
     price_put_fourier,
     price_put_mc,
@@ -239,6 +240,22 @@ def test_cgz_continuous_across_integer_shapes():
 def test_cgz_rejects_calls():
     with pytest.raises(ValueError):
         price_put_cgz(OptionSpec(18.0, 20.0, 0.5, side="call"), P1)
+
+
+def test_cgz_group_prices_fractional_puts_of_one_maturity():
+    params = VgParams(0.2, 0.3)
+    ladder = [_spec(100.0, strike, 0.765) for strike in (90.0, 100.0, 110.0)]  # t/nu 2.55
+    quotes = price_cgz_group(ladder, params)
+    assert [(q.value, q.diagnostics) for q in quotes] == [
+        (q.value, q.diagnostics) for q in (price_put_cgz(s, params) for s in ladder)]
+    assert len({q.elapsed for q in quotes}) == 1 and quotes[0].elapsed > 0.0
+    assert price_cgz_group([], params) == []
+    with pytest.raises(ValueError, match="share their maturity"):
+        price_cgz_group(ladder + [_spec(100.0, 100.0, 0.9)], params)
+    with pytest.raises(ValueError, match="exact"):
+        price_cgz_group([_spec(100.0, 100.0, 0.6)], params)  # t/nu 2
+    with pytest.raises(ValueError):
+        price_cgz_group([OptionSpec(100.0, 100.0, 0.765, side="call")], params)
 
 
 def test_put_price_monotonicity():

@@ -36,6 +36,11 @@ neither side) and a verdict:
   change was not correct or the change failed a larger share of its
   prices than the parent.
 
+Each workload's summary also lists under ``more_failures`` every seed
+at which the change failed a larger share of its prices than the
+parent, with the failed and attempted prices of both sides, so a void
+gain names the runs to rerun by hand.
+
 The file also records the seeds, the command, the CPU count and the
 Python, numpy and SciPy versions.  Standard library only.
 """
@@ -153,6 +158,19 @@ def summarize_runs(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def more_failures(runs: list[dict]) -> list[dict]:
+    """The pairs whose change run failed a larger share of its prices than
+    the parent run of the same seed, with both sides' counts."""
+    return [
+        {"seed": r["seed"],
+         **{side: {k: r[side][k] for k in ("failed", "attempted")}
+            for side in ("parent", "change")}}
+        for r in runs
+        if r["change"]["failed"] * r["parent"]["attempted"]
+        > r["parent"]["failed"] * r["change"]["attempted"]
+    ]
+
+
 def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
               metrics: list[dict]) -> dict:
     """Alternate the two trees over ``seeds``; summarise every metric."""
@@ -168,7 +186,8 @@ def run_pairs(trees: dict, workload: str, seeds: list[int], seconds: float,
             print(f"{workload} seed {seed} {side}: prices_per_s "
                   f"{run[side]['metrics']['prices_per_s']:.5g}", file=sys.stderr, flush=True)
         runs.append(run)
-    return {"runs": runs, "metrics": summarize_runs(runs, metrics)}
+    return {"runs": runs, "metrics": summarize_runs(runs, metrics),
+            "more_failures": more_failures(runs)}
 
 
 def main(argv=None) -> int:
@@ -211,6 +230,10 @@ def main(argv=None) -> int:
             for name, s in result["metrics"].items():
                 print(f"{workload:13s} {name:16s} {s['parent']['median']:10.5g} -> "
                       f"{s['change']['median']:10.5g}  wins {s['wins']:>5s}  {s['verdict']}")
+            for m in result["more_failures"]:
+                print(f"{workload:13s} seed {m['seed']}: the change failed "
+                      f"{m['change']['failed']}/{m['change']['attempted']} prices, "
+                      f"the parent {m['parent']['failed']}/{m['parent']['attempted']}")
     return 0
 
 
