@@ -35,7 +35,6 @@ from .pricing import (
     black_scholes_put,
     call_from_put,
     fourier_put_ladder,
-    integer_shape,
     price,
     price_cgz_group,
     price_put_cgz,
@@ -82,7 +81,6 @@ __all__ = [
     "black_scholes_put",
     "call_from_put",
     "fourier_put_ladder",
-    "integer_shape",
     "price",
     "price_cgz_group",
     "price_put_cgz",

@@ -58,11 +58,6 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
                         metavar="N", help=f"RNG seed (env {_ENV_SEED}; flag wins)")
 
 
-def _add_tol_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=None,
-                        help="quadrature tolerance override (sets rel=tol, abs=tol/100)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="vgp",
@@ -80,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_price.add_argument("--nu", type=float, required=True)
     p_price.add_argument("--side", choices=("put", "call"), default="put")
     p_price.add_argument("--method", choices=METHODS, default="cgz")
+    p_price.add_argument("--tol", type=float, default=None,
+                         help="quadrature tolerance override (sets rel=tol, abs=tol/100)")
     p_price.add_argument("--paths", type=int, default=1_000_000,
                          help="Monte Carlo paths (mc method only)")
-    _add_tol_option(p_price)
 
     p_table = sub.add_parser("table", help="reproduce a built-in table")
     _add_global_options(p_table, suppress=True)
@@ -94,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timing repetitions per call (median reported)")
     p_table.add_argument("--paths", type=int, default=100_000,
                          help="Monte Carlo paths per row")
-    _add_tol_option(p_table)
 
     p_bench = sub.add_parser("bench", help="price scenarios from a CSV file")
     _add_global_options(p_bench, suppress=True)
@@ -105,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override methods for every row (comma-separated)")
     p_bench.add_argument("--paths", type=int, default=100_000,
                          help="Monte Carlo paths per row")
-    _add_tol_option(p_bench)
     return root
 
 
@@ -143,7 +137,7 @@ def _parse_methods(raw: str) -> tuple[str, ...]:
 
 
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    tol = args.tol
+    tol = getattr(args, "tol", None)
     if tol is None:
         return DEFAULT_QUADRATURE
     if not tol > 0:
@@ -244,21 +238,19 @@ def _cmd_price(args: argparse.Namespace) -> int:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    cfg = _quad_config(args)
     methods = _parse_methods(args.methods)
     report = run_scenarios(builtin_table_rows(args.table_id, methods),
-                           repetitions=args.reps, seed=seed, mc_paths=args.paths, cfg=cfg)
+                           repetitions=args.reps, seed=seed, mc_paths=args.paths)
     _deliver(emit_report(report, args.format), args)
     return 1 if report.error_count else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    cfg = _quad_config(args)
     override = _parse_methods(args.methods) if args.methods else None
     rows = _read_scenarios(args.scenarios, override)
     report = run_scenarios(rows, repetitions=args.reps, seed=seed,
-                           mc_paths=args.paths, cfg=cfg)
+                           mc_paths=args.paths)
     _deliver(emit_report(report, args.format), args)
     return 1 if report.error_count else 0
 

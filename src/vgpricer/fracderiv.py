@@ -211,7 +211,6 @@ def frac_deriv_quadrature(
     alpha: float,
     x: float,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    rows: int | None = None,
 ) -> tuple[float, float] | list[tuple[float, float] | QuadratureAccuracyError]:
     """D^alpha f at x from the second derivative of f alone.
 
@@ -232,15 +231,15 @@ def frac_deriv_quadrature(
     the truncated tails, so never 0 for a nonzero integrand.  Raises
     QuadratureAccuracyError when the halvings run out first.
 
-    With ``rows`` = R it differentiates R functions at the same x and
-    order, whose nodes are therefore the same: the first call,
-    ``f_second(lam)``, returns an (R x len(lam)) array, one integrand
-    per row.  Each row then cuts its own range, runs its own
-    convergence test and error estimate, and takes its further levels
-    alone, through ``f_second(lam, i)`` for row i.  Row i gets the
-    floats a call without ``rows`` would on its integrand.  Returns a
-    list of R entries in row order: (value, error estimate), or the
-    QuadratureAccuracyError of a row that did not converge.
+    When the first call, ``f_second(lam)``, returns an (R x len(lam))
+    array instead, it differentiates R functions at the same x and
+    order, whose nodes are therefore the same: one integrand per row.
+    Each row then cuts its own range, runs its own convergence test and
+    error estimate, and takes its further levels alone, through
+    ``f_second(lam, i)`` for row i.  Row i gets the floats a 1-d call
+    would on its integrand.  Returns a list of R entries in row order:
+    (value, error estimate), or the QuadratureAccuracyError of a row
+    that did not converge.
     """
     _check_order(alpha)
     if not (x > 0.0):
@@ -321,12 +320,12 @@ def frac_deriv_quadrature(
             abs(prefactor) * (diff + floor),
         )
 
-    if rows is None:
+    if first_terms.ndim == 1:
         return settle(first_terms, f_second)
     results: list = []
-    for i in range(rows):
+    for i, row_terms in enumerate(first_terms):
         try:
-            results.append(settle(first_terms[i], lambda lam, i=i: f_second(lam, i)))
+            results.append(settle(row_terms, lambda lam, i=i: f_second(lam, i)))
         except QuadratureAccuracyError as exc:
             results.append(exc)
     return results

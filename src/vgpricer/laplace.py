@@ -423,8 +423,9 @@ def log_bessel_series(lam, z, params: VgParams, n: int) -> np.ndarray:
     overflows and p_0 does not underflow before the terms it seeds
     become negligible.  At the strike (z = 0) p_0 = sqrt(pi)/(2 sqrt(s))
     needs no shift and r = 0 drops the second addend of the recurrence,
-    so when every row is at the strike a shorter loop skips both; it
-    returns the same floats as the general loop does at z = 0.
+    so for a float z at the strike a shorter loop skips both.  An
+    array of z always runs the general loop, which gives the same
+    floats at z = 0.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1 or (lam.size and not (lam.min() > 0.0 and math.isfinite(lam.max()))):
@@ -440,7 +441,7 @@ def log_bessel_series(lam, z, params: VgParams, n: int) -> np.ndarray:
     # one row of a per z: shape (1,) for a float z, (rows, 1) for an array
     a = np.abs(z)[..., None] * math.sqrt(2.0) / params.sigma
     prev = 0.5 * math.sqrt(math.pi) / root_s
-    if not a.any():
+    if z.ndim == 0 and a[0] == 0.0:
         # at the strike e^(shift - x) = 1, and with r = 0 the second addend
         # of every p_(k+1) is 0, so p_(k+1) = lam (k+1/2)/((k+1) s) p_k
         total = prev.copy()
@@ -452,8 +453,7 @@ def log_bessel_series(lam, z, params: VgParams, n: int) -> np.ndarray:
                 np.multiply((k + 0.5) / (k + 1), cur, out=cur)
                 np.multiply(ratio, cur, out=cur)
                 total += cur
-        np.log(total, out=total)
-        return total if z.ndim == 0 else np.tile(total, (z.size, 1))
+        return np.log(total, out=total)
     x = a * root_s
     shift = np.minimum(np.maximum(x - _X_LO, 0.0), _X_HI)
     prev = np.multiply(prev, np.exp(np.subtract(shift, x, out=x), out=x), out=x)

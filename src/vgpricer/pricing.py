@@ -75,7 +75,6 @@ __all__ = [
     "McConfig",
     "black_scholes_put",
     "vg_charfunc",
-    "integer_shape",
     "price_put_cgz",
     "price_put_mixture",
     "price_put_fourier",
@@ -308,7 +307,7 @@ def _fractional_cgz(puts: list[OptionSpec], params: VgParams,
     Their quadratures share the nodes lam0/y, so the first ``f_second``
     call evaluates the series for every row at once, as a (rows x
     nodes) array; a row that needs a further level evaluates its own new
-    nodes (``frac_deriv_quadrature`` with ``rows``).  Should that shared
+    nodes (a 2-d first call to ``frac_deriv_quadrature``).  Should that shared
     call raise, each row is priced alone, so that a row that fails
     fails by itself.
     """
@@ -341,7 +340,7 @@ def _fractional_cgz(puts: list[OptionSpec], params: VgParams,
         return np.exp(coef - (n + 3.0) * np.log(lam) + log_series)
 
     try:
-        settled = frac_deriv_quadrature(f_second, alpha, lam0, cfg, rows=len(puts))
+        settled = frac_deriv_quadrature(f_second, alpha, lam0, cfg)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         if len(puts) == 1:
             return [exc]

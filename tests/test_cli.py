@@ -67,29 +67,6 @@ def test_price_tol_override():
     assert r2.returncode == 2
 
 
-def _cgz_quotes(*argv):
-    r = run_cli("table", "T2", "--methods", "cgz", "--format", "json", *argv)
-    assert r.returncode == 0, r.stderr
-    return [row["quotes"]["cgz"] for row in json.loads(r.stdout)["rows"]]
-
-
-def test_table_and_bench_take_tol(tmp_path):
-    # the rule and exit code of price's --tol
-    for bad in ("-1", "0"):
-        assert run_cli("table", "T2", "--tol", bad).returncode == 2
-    f = tmp_path / "rows.csv"
-    _write_scenarios(f, [["a", 0.3, 18, 20, 0.1, 0.2, "cgz", ""]])
-    r = run_cli("bench", "--scenarios", str(f), "--tol", "-1")
-    assert r.returncode == 2 and "--tol must be positive" in r.stderr
-    default = _cgz_quotes()
-    for tol in ("1e-6", "1e-13"):
-        quotes = _cgz_quotes("--tol", tol)
-        for q, d in zip(quotes, default):
-            assert abs(q["value"] - d["value"]) <= q["diagnostics"]
-    # the tolerance reaches the quadrature: a tight one moves an estimate
-    assert [q["diagnostics"] for q in quotes] != [d["diagnostics"] for d in default]
-
-
 def test_table_csv_to_file(tmp_path):
     out = tmp_path / "t1.csv"
     r = run_cli("table", "T1", "--methods", "cgz,mixture",
