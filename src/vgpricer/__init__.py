@@ -16,7 +16,6 @@ from .laplace import (
     eval_m,
     eval_m_dx,
     eval_m_exponential_part,
-    extend_to_level,
     log_bessel_series,
     theta_roots,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "eval_m",
     "eval_m_dx",
     "eval_m_exponential_part",
-    "extend_to_level",
     "log_bessel_series",
     "theta_roots",
     "DEFAULT_QUADRATURE",

@@ -11,13 +11,11 @@ reference prices quoted to 4 decimals.
 ``pricing.price``, captures per-row errors instead of aborting the run,
 and reports per method the median of the repetitions' ``elapsed`` (a
 warm-up call is excluded whenever more than one repetition is
-requested).  Its integer-t/nu ``cgz`` rows share one coefficient table
-per (strike, sigma, nu), extended level by level as the rows need it,
-for the length of one call.  Its fractional-t/nu ``cgz`` rows that share
-(maturity, sigma, nu) go together through ``pricing.price_cgz_group``,
-and each reports the group's median time split evenly over the group's
-rows.  ``emit_report`` renders
-a report as aligned text, CSV (fixed header: table,t,S,K,sigma,nu,
+requested).  Its ``cgz`` rows that share (sigma, nu) go together
+through ``pricing.price_cgz_group``, which shares the work of rows of
+one maturity or one strike, and each such row reports its batch's
+median time split evenly over the batch.  ``emit_report`` renders a
+report as aligned text, CSV (fixed header: table,t,S,K,sigma,nu,
 method,price,expected,abs_diff,elapsed_ns), or JSON.  Identical configuration and
 seeds give byte-identical CSV except for the elapsed_ns column.
 """
@@ -33,7 +31,7 @@ import numpy as np
 
 from .fracderiv import DEFAULT_QUADRATURE, QuadratureConfig
 from .model import OptionSpec, VgParams
-from .pricing import METHODS, McConfig, PriceQuote, integer_shape, price, price_cgz_group
+from .pricing import METHODS, McConfig, PriceQuote, price, price_cgz_group
 
 __all__ = [
     "BUILTIN_TABLES",
@@ -220,20 +218,15 @@ def run_scenarios(
     reproducible however the rows are batched; rows without ``mc``
     derive none.  Quotes and errors come back in row order.
 
-    ``cgz`` rows at a fractional t/nu that share (maturity, sigma, nu)
-    with another row of the call, such as a strike ladder, are priced
-    together by ``price_cgz_group``, with the same prices and the same
-    errors as one by one.  The whole group is repeated ``repetitions``
+    ``cgz`` rows that share (sigma, nu) with another row of the call
+    are priced together by ``price_cgz_group``, with the same prices and
+    the same errors as one by one: a fractional-t/nu strike ladder
+    shares its quadrature nodes, an integer-t/nu maturity ladder its
+    coefficient table.  The whole group is repeated ``repetitions``
     times (after a warm-up when more than one), and each of its rows
-    reports the median group time split evenly over the group's rows.
-
-    The other ``cgz`` calls of one run share a memo of coefficient
-    tables (see ``price_put_cgz``): an integer-t/nu row extends the
-    table of its (strike, sigma, nu) from the deepest level an earlier
-    row built, with the same prices as unshared calls.  Each repetition
-    of a row starts from that row's table as it stood before the row, so
-    the timing covers the row's own share of the recursion.  The memo
-    lives for this call only.
+    reports the median of the times ``price_cgz_group`` gave it: its
+    batch's time split evenly over the batch's rows.  Nothing is kept
+    from one repetition, or one call, to the next.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -251,7 +244,6 @@ def run_scenarios(
             res.errors["*"] = f"{type(exc).__name__}: {exc}"
             contracts.append(None)
     grouped = _grouped_cgz(rows, contracts, cfg, repetitions)
-    tables: dict = {}
     for idx, (row, res, contract) in enumerate(zip(rows, results, contracts)):
         if contract is None:
             continue
@@ -263,7 +255,7 @@ def run_scenarios(
                 quote = grouped.get(idx) if method == "cgz" else None
                 if quote is None:
                     quote = _median_quote(
-                        method, spec, params, cfg, row_seed, mc_paths, repetitions, tables
+                        method, spec, params, cfg, row_seed, mc_paths, repetitions
                     )
                 elif isinstance(quote, Exception):
                     raise quote
@@ -280,19 +272,16 @@ def np_seed_for_row(seed: int, row_index: int) -> int:
 
 def _grouped_cgz(rows, contracts, cfg, repetitions) -> dict:
     """The ``cgz`` outcome (quote or exception) of every row that prices in
-    a group, by row index: fractional t/nu rows that share (maturity,
-    sigma, nu) with another row."""
+    a group, by row index: rows that share (sigma, nu) with another row."""
     groups: dict[tuple, list[int]] = {}
     for idx, (row, contract) in enumerate(zip(rows, contracts)):
         if contract is not None and "cgz" in row.methods:
-            groups.setdefault((row.maturity, row.sigma, row.nu), []).append(idx)
+            groups.setdefault((row.sigma, row.nu), []).append(idx)
     grouped: dict = {}
     for members in groups.values():
         if len(members) < 2:
             continue
-        spec, params = contracts[members[0]]
-        if integer_shape(spec.maturity, params.nu) is not None:
-            continue  # exact: its rows share coefficient tables instead
+        params = contracts[members[0]][1]
         specs = [contracts[i][0] for i in members]
         if repetitions > 1:
             price_cgz_group(specs, params, cfg)  # warm-up, excluded from timing
@@ -304,22 +293,11 @@ def _grouped_cgz(rows, contracts, cfg, repetitions) -> dict:
     return grouped
 
 
-def _median_quote(method, spec, params, cfg, seed, mc_paths, repetitions, tables):
-    key = (spec.strike, params)
-    start = {key: tables[key]} if key in tables else {}  # only this row's table
-    memo: dict = {}  # the table as this row's last repetition left it
-    if method == "mc":
-        mc = McConfig(path_count=mc_paths, seed=seed)
-        call = lambda: price(spec, params, "mc", mc=mc)  # noqa: E731
-    else:
-        def call():
-            memo.clear()
-            memo.update(start)
-            return price(spec, params, method, cfg, tables=memo)
+def _median_quote(method, spec, params, cfg, seed, mc_paths, repetitions):
+    mc = McConfig(path_count=mc_paths, seed=seed) if method == "mc" else McConfig()
     if repetitions > 1:
-        call()  # warm-up, excluded from timing
-    quotes = [call() for _ in range(repetitions)]
-    tables.update(memo)
+        price(spec, params, method, cfg, mc)  # warm-up, excluded from timing
+    quotes = [price(spec, params, method, cfg, mc) for _ in range(repetitions)]
     if repetitions == 1:
         return quotes[0]
     return replace(quotes[-1], elapsed=statistics.median(q.elapsed for q in quotes))

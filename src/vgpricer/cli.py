@@ -58,6 +58,17 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
                         metavar="N", help=f"RNG seed (env {_ENV_SEED}; flag wins)")
 
 
+def _path_count(raw: str) -> int:
+    """The type of ``--paths``: an int of at least 1."""
+    try:
+        paths = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if paths < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {paths}")
+    return paths
+
+
 def build_parser() -> argparse.ArgumentParser:
     root = argparse.ArgumentParser(
         prog="vgp",
@@ -77,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_price.add_argument("--method", choices=METHODS, default="cgz")
     p_price.add_argument("--tol", type=float, default=None,
                          help="quadrature tolerance override (sets rel=tol, abs=tol/100)")
-    p_price.add_argument("--paths", type=int, default=1_000_000,
+    p_price.add_argument("--paths", type=_path_count, default=1_000_000,
                          help="Monte Carlo paths (mc method only)")
 
     p_table = sub.add_parser("table", help="reproduce a built-in table")
@@ -88,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated subset of " + ",".join(METHODS))
     p_table.add_argument("--reps", type=int, default=1,
                          help="timing repetitions per call (median reported)")
-    p_table.add_argument("--paths", type=int, default=100_000,
+    p_table.add_argument("--paths", type=_path_count, default=100_000,
                          help="Monte Carlo paths per row")
 
     p_bench = sub.add_parser("bench", help="price scenarios from a CSV file")
@@ -98,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="timing repetitions per call (median reported)")
     p_bench.add_argument("--methods", default=None,
                          help="override methods for every row (comma-separated)")
-    p_bench.add_argument("--paths", type=int, default=100_000,
+    p_bench.add_argument("--paths", type=_path_count, default=100_000,
                          help="Monte Carlo paths per row")
     return root
 

@@ -61,13 +61,10 @@ Where the tables do not reach, past ``MAX_LEVEL`` or past a level that
 fails the check, the integer-t/nu price comes from the Bessel series
 below instead.
 
-Level n only needs level n-1, so a table is extended incrementally:
-``extend_to_level`` continues the recursion from a table's top level
-and C^1-checks the new levels only, giving the same table a fresh build
-to that level would.  At integer t/nu the price needs one level of the
-table at lam = 1/nu, so one table per (strike, sigma, nu) is shared and
-extended across the integer-t/nu ``cgz`` rows of one
-``bench.run_scenarios`` call.
+At integer t/nu the price needs one level of the table at lam = 1/nu,
+and a table to level N holds every lower level as a shallower build
+gives it, so ``pricing.price_cgz_group`` builds one table per strike
+for the integer-t/nu rows of a group, to the deepest level they need.
 
 The exponential part alone has a second, cancellation-free form.  With
 D = sqrt(mu^2 + 2 sigma^2 lam) it is, on both branches,
@@ -96,7 +93,7 @@ Every term is positive, so the sum has no cancellation and needs no
 C^1 check and no level cap.  ``log_bessel_series`` evaluates its
 logarithm over an array of lam in O(n), for one z or for a row per z:
 this is how the fractional-derivative quadrature of ``price_put_cgz``
-evaluates m^(n+2) at all of its nodes (for every contract of a
+evaluates m^(n+2) at all of its nodes (for the rows of one maturity in a
 ``price_cgz_group`` group at once), and how it prices an integer t/nu
 that the tables do not reach, on the one node lam = 1/nu.  It is the
 half-integer Bessel structure behind the closed form of Madan, Carr &
@@ -117,7 +114,6 @@ __all__ = [
     "CoeffTable",
     "MAX_LEVEL",
     "theta_roots",
-    "extend_to_level",
     "build_coeff_table",
     "eval_m",
     "eval_m_dx",
@@ -171,7 +167,7 @@ class CoeffTable:
     the in-the-money branch (x <= log K, i = 1) and the out-of-the-money
     branch (x > log K, i = 2).  The power-law terms on the ITM branch,
     (-1)^n n! (K - e^x)/lam^{n+1}, are ``power_law[n] * (K - e^x)``.
-    Immutable; extension returns a new table.
+    Immutable.
     """
 
     lam: float
@@ -199,7 +195,7 @@ def _require_level(table: CoeffTable, n: int) -> None:
     if n > table.max_level:
         raise ValueError(
             f"table holds levels 0..{table.max_level}, level {n} requested; "
-            f"extend it first"
+            f"build a deeper table"
         )
 
 
@@ -230,39 +226,26 @@ def _next_tail(prev, jw, sig2, n):
     return cur
 
 
-def _check_lam(lam: float) -> None:
+def build_coeff_table(lam: float, strike: float, params: VgParams, max_level: int = 0) -> CoeffTable:
+    """Build the coefficient table for levels 0..max_level at this lam.
+
+    Double precision throughout, level by level from level 0.  The
+    power-law factor (-1)^n n!/lam^(n+1) is a running product, so no
+    lam^(n+1) can overflow.  Raises ``ArithmeticError`` at the first
+    level whose C^1 slope residual exceeds tolerance: factorial
+    cancellation has broken double precision there.
+    """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
-
-
-def _check_level(n: int) -> None:
-    if not 0 <= n <= MAX_LEVEL:
-        raise ValueError(f"level must be between 0 and {MAX_LEVEL}, got {n}")
-
-
-def _grow(lam: float, strike: float, params: VgParams, max_level: int, base=None) -> CoeffTable:
-    """Levels 0..max_level at lam: built from level 0, or the recursion
-    continued from the top level of ``base``.
-
-    The power-law factor (-1)^n n!/lam^(n+1) is a running product, so no
-    lam^(n+1) can overflow.  Only the new levels go through the C^1
-    check, since the levels of ``base`` passed it when they were built.
-    The first that fails it raises ``ArithmeticError``: factorial
-    cancellation has broken double precision there.  An extension raises
-    at the same level, with the same message, as a fresh build.
-    """
+    if not (strike > 0.0) or not math.isfinite(strike):
+        raise ValueError(f"strike must be positive and finite, got {strike!r}")
+    if not 0 <= max_level <= MAX_LEVEL:
+        raise ValueError(f"level must be between 0 and {MAX_LEVEL}, got {max_level}")
     mu = params.mu
     sig2 = params.sigma * params.sigma
-    if base is None:
-        disc = (mu * mu + 2.0 * lam * sig2) ** 0.5
-        th1 = (-mu + disc) / sig2
-        th2 = (-mu - disc) / sig2
-        first, prev1, prev2, power = 0, None, None, None
-    else:
-        th1, th2 = base.roots.theta1, base.roots.theta2
-        first = base.max_level + 1
-        prev1, prev2 = base.levels_itm[-1], base.levels_otm[-1]
-        power = base.power_law[-1]
+    disc = (mu * mu + 2.0 * lam * sig2) ** 0.5
+    th1 = (-mu + disc) / sig2
+    th2 = (-mu - disc) / sig2
     w1 = mu + sig2 * th1  # = +disc
     w2 = mu + sig2 * th2  # = -disc
     if w1 == 0 or w2 == 0:
@@ -274,7 +257,8 @@ def _grow(lam: float, strike: float, params: VgParams, max_level: int, base=None
     levels1: list[tuple] = []
     levels2: list[tuple] = []
     powers: list = []
-    for n in range(first, max_level + 1):
+    prev1 = prev2 = power = None
+    for n in range(max_level + 1):
         if n == 0:
             power = 1.0 / lam
             a0 = strike / (lam * (th1 - th2))
@@ -290,54 +274,22 @@ def _grow(lam: float, strike: float, params: VgParams, max_level: int, base=None
         levels2.append(tuple(cur2))
         powers.append(power)
         prev1, prev2 = cur1, cur2
-    # tuple concatenation: the levels of ``base`` are not copied
     table = CoeffTable(
         lam=lam,
         strike=strike,
         params=params,
         roots=ThetaRoots(th1, th2),
-        levels_itm=(base.levels_itm if base else ()) + tuple(levels1),
-        levels_otm=(base.levels_otm if base else ()) + tuple(levels2),
-        power_law=(base.power_law if base else ()) + tuple(powers),
+        levels_itm=tuple(levels1),
+        levels_otm=tuple(levels2),
+        power_law=tuple(powers),
     )
-    for n in range(first, max_level + 1):
+    for n in range(max_level + 1):
         residual = table.c1_residual(n)
         if not residual <= _C1_RTOL:
             raise ArithmeticError(
                 f"level {n} fails the C^1 check: slope residual {residual!r} > {_C1_RTOL!r}"
             )
     return table
-
-
-def build_coeff_table(lam: float, strike: float, params: VgParams, max_level: int = 0) -> CoeffTable:
-    """Build the coefficient table for levels 0..max_level at this lam.
-
-    Double precision throughout.  Raises ``ArithmeticError`` at the
-    first level whose C^1 slope residual exceeds tolerance.
-    """
-    _check_lam(lam)
-    if not (strike > 0.0) or not math.isfinite(strike):
-        raise ValueError(f"strike must be positive and finite, got {strike!r}")
-    _check_level(max_level)
-    return _grow(lam, strike, params, max_level)
-
-
-def extend_to_level(table: CoeffTable, n: int) -> CoeffTable:
-    """Return a table holding levels 0..n.
-
-    ``table`` itself when it already holds level n; otherwise a new
-    table that continues the recursion from ``table``'s top level, so
-    the cost is that of the new levels only.  The result is
-    bit-identical to ``build_coeff_table(table.lam, table.strike,
-    table.params, n)``, and a new level that fails the C^1 check raises
-    the same ``ArithmeticError`` as that build.  This is how one table
-    per (strike, sigma, nu) serves every integer-t/nu ``cgz`` row that
-    shares it.
-    """
-    _check_level(n)
-    if n <= table.max_level:
-        return table
-    return _grow(table.lam, table.strike, table.params, n, base=table)
 
 
 def _horner(coeffs, z: float):

@@ -41,11 +41,13 @@
 
 ``price`` is the entry point: it picks one of these routes, prices a
 call as the put of the same contract plus zero-rate parity
-C = P + S - K, and times the pricer.  ``price_cgz_group`` does the same
-for ``cgz`` contracts that share their maturity and parameters, such
-as a strike ladder: at fractional t/nu their quadratures share the
-nodes, so the first series call covers every row as one
-(rows x nodes) array, and each row then converges on its own.
+C = P + S - K, and times the pricer.  ``price_cgz_group`` prices with
+``cgz`` puts that share their parameters, and shares work inside: the
+fractional-t/nu rows of one maturity, such as a strike ladder, share
+the quadrature nodes, so the first series call covers every row as one
+(rows x nodes) array and each row then converges on its own; the
+integer-t/nu rows of one strike, such as a maturity ladder, read one
+coefficient table.  ``price_put_cgz`` is its group of one.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .fracderiv import (
     QuadratureConfig,
     frac_deriv_quadrature,
 )
-from .laplace import MAX_LEVEL, build_coeff_table, eval_m, extend_to_level, log_bessel_series
+from .laplace import MAX_LEVEL, build_coeff_table, eval_m, log_bessel_series
 from .model import OptionSpec, VgParams
 
 __all__ = [
@@ -218,7 +220,7 @@ def vg_charfunc(u, t: float, params: VgParams):
 # closed-form route
 
 
-def integer_shape(maturity: float, nu: float) -> int | None:
+def _integer_shape(maturity: float, nu: float) -> int | None:
     """The gamma clock's shape t/nu as an int when it lies within 1e-9
     relative of a positive integer, where ``cgz`` prices exactly; else None.
     """
@@ -233,8 +235,6 @@ def price_put_cgz(
     spec: OptionSpec,
     params: VgParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    *,
-    tables: dict | None = None,
 ) -> PriceQuote:
     """Closed-form price via the fractional derivative of the put transform.
 
@@ -245,58 +245,72 @@ def price_put_cgz(
     over the whole array of nodes at once, with the factor
     (1/nu)^rho/Gamma(rho) (n+2)! lam^-(n+3) folded into one exponent per
     node, so fractional t/nu prices without overflow up to ~1000 and
-    beyond.  The fractional price is that of ``price_cgz_group`` on a
-    group of one.  At integer t/nu = n + 1 the price reads level n of
-    the coefficient table at lam = 1/nu; past ``MAX_LEVEL``, or where a
+    beyond.  At integer t/nu = n + 1 the price reads level n of the
+    coefficient table at lam = 1/nu; past ``MAX_LEVEL``, or where a
     level up to n fails the table's C^1 check, it takes the same series
-    on the one node 1/nu instead.
-
-    ``tables`` is an optional memo owned by the caller, keyed by
-    (strike, params).  At integer t/nu calls that share a memo share
-    one table per (strike, sigma, nu): it is extended to the level a
-    call needs when too shallow, and stored back.  The price is the same
-    as without the memo: an extension gives the same table, or fails at
-    the same level, as a fresh build.
+    on the one node 1/nu instead.  The price is that of
+    ``price_cgz_group`` on a group of one.
     """
     _require_put(spec)
-    k = integer_shape(spec.maturity, params.nu)
-    if k is None:
-        quote = _fractional_cgz([spec], params, cfg)[0]
-        if isinstance(quote, Exception):
-            raise quote
-        return quote
+    exact = _integer_shape(spec.maturity, params.nu) is not None
+    quote = (_integer_cgz([spec], params) if exact else _fractional_cgz([spec], params, cfg))[0]
+    if isinstance(quote, Exception):
+        raise quote
+    return quote
+
+
+def _integer_cgz(puts: list[OptionSpec], params: VgParams) -> list[PriceQuote | Exception]:
+    """``cgz`` puts at integer t/nu that share their strike and ``params``,
+    one quote or one exception per row.
+
+    Level n = t/nu - 1 of the coefficient table at lam0 = 1/nu prices a
+    row, and a deeper table holds the same levels 0..n, so the rows read
+    one table built to the deepest level up to ``MAX_LEVEL`` they need.
+    Should that build raise, say at a level that fails the C^1 check,
+    each row builds its own, so a row reads a table wherever its own
+    levels pass and a row that fails fails by itself.  Rows past
+    ``MAX_LEVEL``, or whose own table fails, take the Bessel series on
+    the one node lam0.
+    """
     lam0 = 1.0 / params.nu
-    rho = spec.maturity / params.nu
-    x = spec.log_spot
-    strike = spec.strike
-    z = x - math.log(strike)
-    n = k - 1
-    memo = {} if tables is None else tables
+    strike = puts[0].strike
+    levels = [round(spec.maturity / params.nu) - 1 for spec in puts]
+    deepest = max((n for n in levels if n <= MAX_LEVEL), default=None)
     table = None
-    if n <= MAX_LEVEL:
-        held = memo.get((strike, params))
+    if deepest is not None:
         try:
-            table = (build_coeff_table(lam0, strike, params, max_level=n)
-                     if held is None else extend_to_level(held, n))
-        except ArithmeticError:  # a level up to n fails the C^1 check
-            pass
-    if table is not None:
-        memo[(strike, params)] = table
-        # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~1000)
-        log_pref = rho * math.log(lam0) - gammaln(rho)
-        value = math.exp(log_pref) * (-1.0) ** n * eval_m(table, n, x)
-    else:
-        # here (1/nu)^rho/Gamma(rho) n! lam0^-(n+1) is exactly 1; the
-        # power rule on the power-law terms of m^(n) gives exactly the
-        # intrinsic value: the factorials and the powers of lam0 cancel
-        intrinsic = strike - spec.spot if z <= 0.0 else 0.0
-        log_series = log_bessel_series(np.array([lam0]), z, params, n)[0]
-        value = intrinsic + math.exp(
-            log_series - params.mu * z / params.sigma**2
-            + math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
-        )
-    _check_put_bounds(value, spec, "cgz")
-    return PriceQuote(value, "cgz", None)
+            table = build_coeff_table(lam0, strike, params, max_level=deepest)
+        except (ValueError, ArithmeticError) as exc:
+            if len(puts) > 1:  # each row alone, so that a row that fails fails by itself
+                return [q for spec in puts for q in _integer_cgz([spec], params)]
+            if isinstance(exc, ValueError):
+                return [exc]
+            # a level up to n fails the C^1 check: the row prices on the series
+    quotes: list[PriceQuote | Exception] = []
+    for spec, n in zip(puts, levels):
+        rho = spec.maturity / params.nu
+        x = spec.log_spot
+        z = x - math.log(strike)
+        try:
+            if table is not None and n <= MAX_LEVEL:
+                # (1/nu)^rho / Gamma(rho), kept in log space (rho may reach ~1000)
+                log_pref = rho * math.log(lam0) - gammaln(rho)
+                value = math.exp(log_pref) * (-1.0) ** n * eval_m(table, n, x)
+            else:
+                # here (1/nu)^rho/Gamma(rho) n! lam0^-(n+1) is exactly 1; the
+                # power rule on the power-law terms of m^(n) gives exactly the
+                # intrinsic value: the factorials and the powers of lam0 cancel
+                intrinsic = strike - spec.spot if z <= 0.0 else 0.0
+                log_series = log_bessel_series(np.array([lam0]), z, params, n)[0]
+                value = intrinsic + math.exp(
+                    log_series - params.mu * z / params.sigma**2
+                    + math.log(strike * params.sigma / math.sqrt(2.0 * math.pi))
+                )
+            _check_put_bounds(value, spec, "cgz")
+            quotes.append(PriceQuote(value, "cgz", None))
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            quotes.append(exc)
+    return quotes
 
 
 def _fractional_cgz(puts: list[OptionSpec], params: VgParams,
@@ -542,6 +556,9 @@ def fourier_put_ladder(
     spot.  Returns (strikes, put_prices), both ascending.  Accuracy is
     grid-limited; use price_put_fourier for a single tight price.
     """
+    for name, v in (("spot", spot), ("maturity", maturity), ("grid_step", grid_step)):
+        if not (v > 0.0) or not math.isfinite(v):
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
     if not _moment_bound_ok(damping, params):
         raise ValueError(f"damping exponent {damping!r} violates the moment condition")
     n = int(n_points)
@@ -653,21 +670,18 @@ def price(
     method: str = "cgz",
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     mc: McConfig = McConfig(),
-    *,
-    tables: dict | None = None,
 ) -> PriceQuote:
     """Price ``spec`` (put or call) with one of ``METHODS``, timed.
 
     A call is the put of the same contract plus parity
     (``call_from_put``).  ``cfg`` reaches the three deterministic
-    routes, ``mc`` the Monte Carlo one, and ``tables`` is the ``cgz``
-    memo of ``price_put_cgz``.  The quote's ``elapsed`` is the wall time
-    of the put pricer on a monotonic clock.
+    routes and ``mc`` the Monte Carlo one.  The quote's ``elapsed`` is
+    the wall time of the put pricer on a monotonic clock.
     """
     put = spec if spec.side == "put" else replace(spec, side="put")
     t0 = time.perf_counter()
     if method == "cgz":
-        quote = price_put_cgz(put, params, cfg, tables=tables)
+        quote = price_put_cgz(put, params, cfg)
     elif method == "mixture":
         quote = price_put_mixture(put, params, cfg)
     elif method == "fourier":
@@ -686,26 +700,35 @@ def price_cgz_group(
     params: VgParams,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[PriceQuote | Exception]:
-    """Price with ``cgz`` puts that share a fractional t/nu and ``params``,
-    such as a strike ladder, timed as one group.
+    """Price with ``cgz`` puts that share ``params``, sharing the work
+    that rows of one maturity or one strike have in common.
 
-    Their quadratures share the nodes lam0/y, so the first series call
-    evaluates every row at once and one quadrature runs per row from
-    there on; each quote has the value and diagnostics that ``price``
-    gives the row.  Returns, in row order, a quote or the
+    Fractional-t/nu rows of one maturity, such as a strike ladder, share
+    the quadrature nodes lam0/y: the first series call evaluates every
+    row at once and one quadrature runs per row from there on.
+    Integer-t/nu rows of one strike, such as a maturity ladder, read one
+    coefficient table.  Each quote has the value and diagnostics that
+    ``price`` gives the row.  Returns, in row order, a quote or the
     ``ValueError``, ``ArithmeticError`` or ``RuntimeError`` that row
-    raised.  Each quote's ``elapsed`` is the group's wall time split
-    evenly over its rows.  Integer t/nu is exact and takes ``price``.
+    raised.  Each batch of rows that share work is timed on its own,
+    and each of its quotes' ``elapsed`` is that time split evenly over
+    the batch, so a row that shares nothing reports its own time.
     """
-    for spec in specs:
+    batches: dict[tuple, list[int]] = {}
+    quotes: list[PriceQuote | Exception | None] = [None] * len(specs)
+    for i, spec in enumerate(specs):
         _require_put(spec)
-    if len({spec.maturity for spec in specs}) > 1:
-        raise ValueError("the contracts of a group must share their maturity")
-    if not specs:
-        return []
-    if integer_shape(specs[0].maturity, params.nu) is not None:
-        raise ValueError("at integer t/nu cgz is exact: price each contract with price")
-    t0 = time.perf_counter()
-    quotes = _fractional_cgz(specs, params, cfg)
-    elapsed = (time.perf_counter() - t0) / len(specs)
-    return [q if isinstance(q, Exception) else replace(q, elapsed=elapsed) for q in quotes]
+        try:
+            exact = _integer_shape(spec.maturity, params.nu) is not None
+        except OverflowError as exc:  # t/nu overflows to inf
+            quotes[i] = exc
+            continue
+        batches.setdefault((exact, spec.strike if exact else spec.maturity), []).append(i)
+    for (exact, _), rows in batches.items():
+        batch = [specs[i] for i in rows]
+        t0 = time.perf_counter()
+        got = _integer_cgz(batch, params) if exact else _fractional_cgz(batch, params, cfg)
+        elapsed = (time.perf_counter() - t0) / len(rows)
+        for i, q in zip(rows, got):
+            quotes[i] = q if isinstance(q, Exception) else replace(q, elapsed=elapsed)
+    return quotes

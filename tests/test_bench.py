@@ -7,7 +7,6 @@ import json
 import math
 import random
 import statistics
-import time
 import types
 from pathlib import Path
 
@@ -16,13 +15,7 @@ import pytest
 
 import vgpricer.laplace as laplace
 import vgpricer.pricing as pricing
-from vgpricer import (
-    OptionSpec,
-    VgParams,
-    build_coeff_table,
-    extend_to_level,
-    price_put_cgz,
-)
+from vgpricer import OptionSpec, VgParams, price_put_cgz
 from vgpricer.bench import (
     BUILTIN_TABLES,
     CSV_HEADER,
@@ -97,6 +90,10 @@ def test_invalid_row_is_reported_not_raised():
     assert report.rows[1].errors.get("*", "").startswith("ValueError")
     assert not report.rows[1].quotes
     assert report.error_count == 1
+    # t/nu overflows at nu 1e-320: each row of the group reports it
+    rows = [ScenarioRow("tiny", 1.0, 100.0, k, 0.2, 1e-320, ("cgz",)) for k in (90.0, 100.0)]
+    report = run_scenarios(rows)
+    assert [r.errors["cgz"].split(":")[0] for r in report.rows] == ["OverflowError"] * 2
 
 
 def _series_fails(monkeypatch):
@@ -190,13 +187,13 @@ def test_row_time_is_the_median_of_the_quotes_elapsed(monkeypatch):
     # the first call is the warm-up and is discarded
     elapsed = iter([9.0, 1.0, 5.0, 3.0, 4.0, 8.0, 2.0, 6.0])
 
-    def fake_price(spec, params, method, cfg=None, mc=None, *, tables=None):
+    def fake_price(spec, params, method, cfg=None, mc=None):
         return pricing.PriceQuote(1.0, method, None, next(elapsed))
 
     monkeypatch.setattr(bench, "price", fake_price)
-    rows = builtin_table_rows("T1", methods=("cgz",))[:2]
+    rows = builtin_table_rows("T1", methods=("mixture",))[:2]
     report = run_scenarios(rows, repetitions=3)
-    assert [r.quotes["cgz"].elapsed for r in report.rows] == [3.0, 6.0]
+    assert [r.quotes["mixture"].elapsed for r in report.rows] == [3.0, 6.0]
 
 
 # ---------------------------------------------------------------------------
@@ -274,69 +271,70 @@ def test_row_past_the_level_cap_fails_alone_mid_ladder(monkeypatch):
     assert [_bits(r.quotes["cgz"]) for r in priced] == _separately([r.scenario for r in priced])
 
 
-def test_runs_share_no_tables(monkeypatch):
+def _spy_builds(monkeypatch):
+    """Record (strike, sigma, nu, level) of every coefficient table built."""
     builds = []
     real = pricing.build_coeff_table
 
-    def counting(*args, **kwargs):
-        builds.append(args[1:3])
-        return real(*args, **kwargs)
+    def counting(lam, strike, params, max_level=0):
+        builds.append((strike, params.sigma, params.nu, max_level))
+        return real(lam, strike, params, max_level)
 
     monkeypatch.setattr(pricing, "build_coeff_table", counting)
+    return builds
+
+
+def test_runs_share_no_tables(monkeypatch):
+    builds = _spy_builds(monkeypatch)
     rows = _ladder([2, 9, 4])
     first = _shared(rows)
-    assert len(builds) == len(set(builds)) == 4  # one build per (strike, sigma, nu)
+    # one build per (strike, sigma, nu), to the deepest level of its rows
+    assert sorted(builds) == sorted((k, s, v, 9) for k in STRIKES for s, v in VOLS)
     second = _shared(rows)
     assert builds[4:] == builds[:4]  # the second run starts from nothing
     assert first == second
 
 
-def test_each_row_sees_only_its_own_table(monkeypatch):
-    # a row's calls get only its own contract's table, so a run's cost
-    # grows linearly in its rows however many contracts it holds
-    import vgpricer.bench as bench
+def test_a_run_builds_one_table_per_strike_to_its_deepest_level(monkeypatch):
+    builds = _spy_builds(monkeypatch)
+    # 500 strikes at t/nu 1: one level-0 table each, so a run's cost grows
+    # linearly in its rows however many contracts it holds
+    strikes = [round(80.0 + 0.01 * i, 2) for i in range(500)]
+    rows = [ScenarioRow("many", 0.2, 80.0, k, 0.1, 0.2, ("cgz",)) for k in strikes]
+    assert run_scenarios(rows).error_count == 0
+    assert builds == [(k, 0.1, 0.2, 0) for k in strikes]
+    # each repetition, and the warm-up, builds its own tables to time them
+    builds.clear()
+    assert run_scenarios(rows[:3], repetitions=2).error_count == 0
+    assert sorted(builds) == sorted(3 * [(k, 0.1, 0.2, 0) for k in strikes[:3]])
+    # a maturity ladder of the exact_book workload: one table, 32 rows
+    ladder = _workload("exact_book", 1)[0]
+    builds.clear()
+    assert run_scenarios(ladder).error_count == 0
+    levels = [round(r.maturity / r.nu) - 1 for r in ladder]
+    assert builds == [(ladder[0].strike, ladder[0].sigma, ladder[0].nu, max(levels))]
+    assert len(ladder) == 32 and len(set(levels)) == 32
 
-    seen = []
 
-    def recording(*args, tables=None, **kwargs):
-        seen.append(len(tables))
-        return pricing.price(*args, tables=tables, **kwargs)
-
-    monkeypatch.setattr(bench, "price", recording)
-    rows = [
-        ScenarioRow("many", 0.2, 80.0, round(80.0 + 0.01 * i, 2), 0.1, 0.2, ("cgz",))
-        for i in range(500)
-    ]
-    report = run_scenarios(rows, repetitions=2)
-    assert report.error_count == 0
-    assert len(seen) == 3 * 500 and max(seen) <= 1
+def test_an_integer_ladder_reports_its_time_split_evenly(monkeypatch):
+    # one batch reads the clock twice: one table for every row
+    clock = iter([0.0, 8.0])
+    monkeypatch.setattr(pricing, "time", types.SimpleNamespace(perf_counter=clock.__next__))
+    rows = _ladder([3, 1, 7])[::4]  # one contract, three maturities
+    report = run_scenarios(rows)
+    assert next(clock, None) is None
+    assert [r.quotes["cgz"].elapsed for r in report.rows] == [8.0 / 3] * 3
 
 
-def test_repetitions_time_each_rows_own_extension():
-    # a warm-up that filled the shared tables would leave the timed calls
-    # only a table lookup, under 1/15 of the extension on the long rows;
-    # each repetition must redo the row's own share.  The factor 1/4
-    # absorbs machine speed drifting between the two measurements.
-    params = VgParams(0.1, 0.2)
-    rows = builtin_table_rows("T1", methods=("cgz",)) + [
-        ScenarioRow("T1", (n + 1) * 0.2, 18.0, 20.0, 0.1, 0.2, ("cgz",))
-        for n in (20, 40, 60, 80)
-    ]
-    report = run_scenarios(rows, repetitions=3)
-    prev = None
-    for r in report.rows:
-        n = round(r.scenario.maturity / 0.2) - 1
-        base = None if prev is None else build_coeff_table(5.0, 20.0, params, max_level=prev)
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            if base is None:
-                build_coeff_table(5.0, 20.0, params, max_level=n)
-            else:
-                extend_to_level(base, n)
-            times.append(time.perf_counter() - t0)
-        assert r.quotes["cgz"].elapsed >= 0.25 * min(times)
-        prev = n
+def test_fractional_rows_of_distinct_maturities_keep_their_own_times(monkeypatch):
+    # T2's five maturities share (sigma, nu), so they go as one group, but
+    # share no work: each is a batch of its own and reads the clock alone
+    clock = iter([0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0, 5.0])
+    monkeypatch.setattr(pricing, "time", types.SimpleNamespace(perf_counter=clock.__next__))
+    sizes = _spy_groups(monkeypatch)
+    report = run_scenarios(builtin_table_rows("T2", methods=("cgz",)))
+    assert sizes == [5] and next(clock, None) is None
+    assert [r.quotes["cgz"].elapsed for r in report.rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +402,7 @@ def test_groups_keep_row_order_and_mc_seeds_among_other_rows(monkeypatch):
     ]
     sizes = _spy_groups(monkeypatch)
     report = run_scenarios(rows, seed=13, mc_paths=4_000)
-    assert sorted(sizes) == [2, 4]  # ladder a with the "both" row, and ladder b
+    assert sorted(sizes) == [2, 5]  # ladder a with the "int" and "both" rows, and ladder b
     assert [r.scenario for r in report.rows] == rows
     assert [sorted(r.errors) for r in report.rows] == [[]] * 4 + [["*"]] + [[]] * 4
     cgz = [i for i, row in enumerate(rows) if "cgz" in row.methods and i != 4]
@@ -433,18 +431,18 @@ def test_a_group_reports_its_median_time_split_over_its_rows(monkeypatch):
     assert [r.quotes["cgz"].elapsed for r in report.rows] == [median / len(rows)] * len(rows)
 
 
-def _frac_ladders_workload(seed):
-    """The requests of the benchmark's frac_ladders workload, loaded by path
-    (the module imports numpy only)."""
+def _workload(name, seed):
+    """The requests of one of the benchmark's ladder workloads, loaded by
+    path (the module imports numpy only)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    return [[ScenarioRow(*row) for row in req] for req in workloads.frac_ladders(seed)]
+    return [[ScenarioRow(*row) for row in req] for req in getattr(workloads, name)(seed)]
 
 
 def test_frac_ladders_take_one_series_call_per_ladder(monkeypatch):
-    requests = _frac_ladders_workload(1)
+    requests = _workload("frac_ladders", 1)
     rows = [row for req in requests for row in req]
     real = pricing.log_bessel_series
     shapes = []

@@ -60,6 +60,21 @@ def test_price_invalid_parameters_exit_2():
     assert "sigma" in r.stderr
 
 
+def test_paths_below_one_exit_2(tmp_path):
+    # rejected when the arguments are parsed, not as a failed price per row
+    f = tmp_path / "rows.csv"
+    _write_scenarios(f, [["a", 0.2, 18, 20, 0.1, 0.2, "mc", ""]])
+    for argv in (
+        (*PRICE_ARGS, "--method", "mc", "--paths", "0"),
+        ("table", "T1", "--methods", "mc", "--paths", "0"),
+        ("bench", "--scenarios", str(f), "--paths", "-5"),
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 2, argv
+        assert "argument --paths: must be >= 1" in r.stderr
+        assert r.stdout == ""
+
+
 def test_price_tol_override():
     r = run_cli(*PRICE_ARGS, "--maturity", "0.3", "--tol", "1e-6")
     assert r.returncode == 0, r.stderr

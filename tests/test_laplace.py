@@ -8,6 +8,7 @@ Black-Scholes put, int_0^inf BSput(s) e^{-lam s} ds, evaluated with
 adaptive quadrature (the oracle is also recomputed inline).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from vgpricer import (
     eval_m,
     eval_m_dx,
     eval_m_exponential_part,
-    extend_to_level,
     log_bessel_series,
     theta_roots,
 )
@@ -239,14 +239,6 @@ def test_strike_point_belongs_to_itm_branch_and_branches_agree():
 # table mechanics
 
 
-def test_extend_returns_new_table_and_preserves_prefix():
-    t0 = build_coeff_table(LAM, K, P, max_level=0)
-    t3 = extend_to_level(t0, 3)
-    assert t0.max_level == 0 and t3.max_level == 3
-    assert t3.levels_itm[0] == t0.levels_itm[0]
-    assert extend_to_level(t3, 2) is t3  # already present
-
-
 def test_level_access_requires_built_level():
     t0 = build_coeff_table(LAM, K, P, max_level=0)
     with pytest.raises(ValueError):
@@ -289,7 +281,7 @@ def test_power_law_factor_never_overflows():
 
 
 # ---------------------------------------------------------------------------
-# incremental extension: continue the recursion from a table's top level
+# one deep table serves every shallower level
 
 
 def _bits(table):
@@ -301,52 +293,40 @@ def _bits(table):
     return table.max_level, raw
 
 
+def _prefix(table, n):
+    """The levels 0..n of ``table`` as a table of its own."""
+    return dataclasses.replace(
+        table,
+        levels_itm=table.levels_itm[: n + 1],
+        levels_otm=table.levels_otm[: n + 1],
+        power_law=table.power_law[: n + 1],
+    )
+
+
 @pytest.mark.parametrize("sigma,nu,strike", [(0.1, 0.2, 20.0), (0.45, 0.07, 130.0), (0.6, 1.0, 55.0)])
-def test_extension_is_bit_identical_to_a_fresh_build(sigma, nu, strike):
+def test_a_deeper_table_holds_the_levels_of_a_shallower_build(sigma, nu, strike):
+    # so the integer-t/nu rows of one strike can all read one table built
+    # to the deepest level they need
     params = VgParams(sigma=sigma, nu=nu)
     lam = 1.0 / nu
-    top = laplace.MAX_LEVEL
-    for a, b in [(0, 1), (0, 7), (3, 4), (5, 40), (39, 63), (63, top), (0, top)]:
-        base = build_coeff_table(lam, strike, params, max_level=a)
-        before = _bits(base)
-        grown = extend_to_level(base, b)
-        assert _bits(grown) == _bits(build_coeff_table(lam, strike, params, max_level=b))
-        assert _bits(base) == before  # the input table is left as it was
-    # a chain of single-level steps ends where one long step does
-    chain = build_coeff_table(lam, strike, params, max_level=0)
-    for n in range(1, 21):
-        chain = extend_to_level(chain, n)
-    assert _bits(chain) == _bits(build_coeff_table(lam, strike, params, max_level=20))
+    top = build_coeff_table(lam, strike, params, max_level=laplace.MAX_LEVEL)
+    for n in (0, 1, 4, 7, 40, 63, laplace.MAX_LEVEL):
+        assert _bits(_prefix(top, n)) == _bits(build_coeff_table(lam, strike, params, max_level=n))
 
 
-def test_extension_past_the_level_cap_raises_like_a_build():
-    cap = laplace.MAX_LEVEL
-    with pytest.raises(ValueError) as built:
-        build_coeff_table(LAM, K, P, max_level=cap + 1)
-    with pytest.raises(ValueError) as grown:
-        extend_to_level(build_coeff_table(LAM, K, P, max_level=3), cap + 1)
-    assert str(grown.value) == str(built.value)
-    with pytest.raises(ValueError):
-        extend_to_level(build_coeff_table(LAM, K, P, max_level=3), -1)
-
-
-def test_extension_whose_new_level_trips_the_c1_check_raises_like_a_build(monkeypatch):
+def test_the_first_level_that_trips_the_c1_check_raises(monkeypatch):
     # pick a tolerance that levels 0..a meet and some level in a+1..b does
-    # not, so the trip happens on a level the extension adds
+    # not, so the trip happens above the levels a shallower build holds
     a, b = 4, 8
     residuals = [build_coeff_table(LAM, K, P, max_level=b).c1_residual(n) for n in range(b + 1)]
     tol = max(residuals[: a + 1])
     assert max(residuals[a + 1:]) > tol
-    base = build_coeff_table(LAM, K, P, max_level=a)
     monkeypatch.setattr(laplace, "_C1_RTOL", tol)
     build_coeff_table(LAM, K, P, max_level=a)  # levels 0..a still pass
-    with pytest.raises(ArithmeticError) as grown:
-        extend_to_level(base, b)
     with pytest.raises(ArithmeticError) as fresh:
         build_coeff_table(LAM, K, P, max_level=b)
     first = next(n for n in range(b + 1) if residuals[n] > tol)
-    assert str(grown.value).startswith(f"level {first} fails the C^1 check")
-    assert str(grown.value) == str(fresh.value)
+    assert str(fresh.value).startswith(f"level {first} fails the C^1 check")
 
 
 # ---------------------------------------------------------------------------

@@ -243,19 +243,37 @@ def test_cgz_rejects_calls():
 
 
 def test_cgz_group_prices_fractional_puts_of_one_maturity():
+    # and any other cgz puts that share the parameters, in row order: the
+    # fractional rows of one maturity share quadrature nodes and the
+    # integer rows of one strike one table, and each such batch is timed
+    # alone, its time split evenly over its rows
     params = VgParams(0.2, 0.3)
     ladder = [_spec(100.0, strike, 0.765) for strike in (90.0, 100.0, 110.0)]  # t/nu 2.55
-    quotes = price_cgz_group(ladder, params)
+    exact = [_spec(100.0, 90.0, 0.3 * k) for k in (2, 40, 102)]  # the last past MAX_LEVEL
+    specs = [ladder[0], exact[0], _spec(100.0, 100.0, 0.9), ladder[1], exact[1],
+             ladder[2], exact[2], _spec(100.0, 110.0, 0.6)]
+    quotes = price_cgz_group(specs, params)
     assert [(q.value, q.diagnostics) for q in quotes] == [
-        (q.value, q.diagnostics) for q in (price_put_cgz(s, params) for s in ladder)]
-    assert len({q.elapsed for q in quotes}) == 1 and quotes[0].elapsed > 0.0
+        (q.value, q.diagnostics) for q in (price_put_cgz(s, params) for s in specs)]
+    for batch in ([0, 3, 5], [1, 4, 6], [2], [7]):
+        elapsed = {quotes[i].elapsed for i in batch}
+        assert len(elapsed) == 1 and min(elapsed) > 0.0
     assert price_cgz_group([], params) == []
-    with pytest.raises(ValueError, match="share their maturity"):
-        price_cgz_group(ladder + [_spec(100.0, 100.0, 0.9)], params)
-    with pytest.raises(ValueError, match="exact"):
-        price_cgz_group([_spec(100.0, 100.0, 0.6)], params)  # t/nu 2
     with pytest.raises(ValueError):
         price_cgz_group([OptionSpec(100.0, 100.0, 0.765, side="call")], params)
+    # a row fails alone, with the exception that price_put_cgz raises: t/nu
+    # overflows at nu 1e-320, and 1/nu at nu 1e-310 (the table and the
+    # series each reject lam0 = inf in their own words)
+    for nu, maturities in ((1e-320, (1.0, 2.0)), (1e-310, (3e-310, 6e-310, 5e-308))):
+        specs = [_spec(100.0, 90.0, t) for t in maturities]
+        alone = []
+        for spec in specs:
+            with pytest.raises((ValueError, ArithmeticError)) as exc:
+                price_put_cgz(spec, VgParams(0.2, nu))
+            alone.append((exc.type, str(exc.value)))
+        got = price_cgz_group(specs, VgParams(0.2, nu))
+        assert [(type(q), str(q)) for q in got] == alone
+    assert alone[0] != alone[2]
 
 
 def test_put_price_monotonicity():
@@ -389,6 +407,13 @@ def test_fourier_ladder_validates_grid():
         fourier_put_ladder(18.0, 0.5, P1, n_points=1000)  # not a power of two
     with pytest.raises(ValueError):
         fourier_put_ladder(18.0, 0.5, P1, n_points=8)
+    # unchecked, a negative step gives descending strikes and a negative
+    # maturity negative puts
+    for bad in ({"grid_step": -0.25}, {"grid_step": 0.0}, {"maturity": -0.5},
+                {"maturity": 0.0}, {"spot": -18.0}, {"spot": math.inf}):
+        args = {"spot": 18.0, "maturity": 0.5, **bad}
+        with pytest.raises(ValueError, match="must be positive"):
+            fourier_put_ladder(params=P1, **args)
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +615,6 @@ def test_price_passes_its_options_through():
     assert price(spec, P1, "mixture", loose).value == price_put_mixture(spec, P1, loose).value
     assert price(spec, P1, "mc", mc=McConfig(5_000, seed=9)).value == (
         price_put_mc(spec, P1, McConfig(5_000, seed=9)).value)
-    tables: dict = {}
-    price(_spec(18.0, 20.0, 0.6), P1, tables=tables)
-    assert tables[(20.0, P1)].max_level == 2
 
 
 def test_price_rejects_an_unknown_method():
