@@ -247,21 +247,15 @@ def _cmd_price(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
+    """``table`` and ``bench``: price rows into a report."""
     seed = _resolve_seed(args)
-    methods = _parse_methods(args.methods)
-    report = run_scenarios(builtin_table_rows(args.table_id, methods),
-                           repetitions=args.reps, seed=seed, mc_paths=args.paths)
-    _deliver(emit_report(report, args.format), args)
-    return 1 if report.error_count else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    override = _parse_methods(args.methods) if args.methods else None
-    rows = _read_scenarios(args.scenarios, override)
-    report = run_scenarios(rows, repetitions=args.reps, seed=seed,
-                           mc_paths=args.paths)
+    if args.command == "table":
+        rows = builtin_table_rows(args.table_id, _parse_methods(args.methods))
+    else:
+        override = _parse_methods(args.methods) if args.methods else None
+        rows = _read_scenarios(args.scenarios, override)
+    report = run_scenarios(rows, repetitions=args.reps, seed=seed, mc_paths=args.paths)
     _deliver(emit_report(report, args.format), args)
     return 1 if report.error_count else 0
 
@@ -271,9 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "price":
             return _cmd_price(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        return _cmd_bench(args)
+        return _cmd_report(args)
     except _ConfigError:
         return 2
     except (ValueError, OSError) as exc:

@@ -172,7 +172,6 @@ class CoeffTable:
 
     lam: float
     strike: float
-    params: VgParams
     roots: ThetaRoots
     levels_itm: tuple[tuple, ...]
     levels_otm: tuple[tuple, ...]
@@ -235,22 +234,15 @@ def build_coeff_table(lam: float, strike: float, params: VgParams, max_level: in
     level whose C^1 slope residual exceeds tolerance: factorial
     cancellation has broken double precision there.
     """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+    roots = theta_roots(lam, params)
     if not (strike > 0.0) or not math.isfinite(strike):
         raise ValueError(f"strike must be positive and finite, got {strike!r}")
     if not 0 <= max_level <= MAX_LEVEL:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}, got {max_level}")
-    mu = params.mu
+    th1, th2 = roots.theta1, roots.theta2
     sig2 = params.sigma * params.sigma
-    disc = (mu * mu + 2.0 * lam * sig2) ** 0.5
-    th1 = (-mu + disc) / sig2
-    th2 = (-mu - disc) / sig2
-    w1 = mu + sig2 * th1  # = +disc
-    w2 = mu + sig2 * th2  # = -disc
-    if w1 == 0 or w2 == 0:
-        # impossible for lam > 0 (w_i = +-sqrt(mu^2 + 2 lam sigma^2))
-        raise ArithmeticError("degenerate characteristic roots: mu + sigma^2 theta = 0")
+    w1 = params.mu + sig2 * th1  # = +sqrt(mu^2 + 2 lam sigma^2) > -mu > 0
+    w2 = params.mu + sig2 * th2  # = -sqrt(mu^2 + 2 lam sigma^2) < mu < 0
     jw1 = [j * w1 for j in range(max_level + 1)]
     jw2 = [j * w2 for j in range(max_level + 1)]
 
@@ -277,8 +269,7 @@ def build_coeff_table(lam: float, strike: float, params: VgParams, max_level: in
     table = CoeffTable(
         lam=lam,
         strike=strike,
-        params=params,
-        roots=ThetaRoots(th1, th2),
+        roots=roots,
         levels_itm=tuple(levels1),
         levels_otm=tuple(levels2),
         power_law=tuple(powers),

@@ -14,20 +14,17 @@ hence the drift is pinned at
 
     mu = -sigma^2 / 2
 
-exactly.  ``VgParams`` derives mu when it is omitted and rejects any
-explicitly supplied drift that deviates beyond round-off; there is no
-way to build a parameter set that breaks the martingale property.
+exactly.  ``VgParams`` takes sigma and nu only and derives mu from
+sigma, so there is no way to build a parameter set that breaks the
+martingale property, and one model is one value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["VgParams", "OptionSpec"]
-
-# tolerance (relative to sigma^2/2) for accepting an explicit drift
-_MU_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -36,27 +33,20 @@ class VgParams:
 
     sigma : volatility of the Brownian component, > 0
     nu    : variance rate of the gamma clock, > 0
-    mu    : drift of the Brownian component; derived as -sigma^2/2 when
-            omitted, and validated against that value when supplied
+    mu    : drift of the Brownian component, derived as -sigma^2/2; not
+            an argument
     """
 
     sigma: float
     nu: float
-    mu: float | None = None
+    mu: float = field(init=False)
 
     def __post_init__(self):
         if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if not (self.nu > 0.0) or not math.isfinite(self.nu):
             raise ValueError(f"nu must be positive and finite, got {self.nu!r}")
-        implied = -0.5 * self.sigma * self.sigma
-        if self.mu is None:
-            object.__setattr__(self, "mu", implied)
-        elif abs(self.mu - implied) > _MU_RTOL * abs(implied):
-            raise ValueError(
-                f"mu={self.mu!r} violates the zero-rate martingale condition; "
-                f"expected -sigma^2/2 = {implied!r}"
-            )
+        object.__setattr__(self, "mu", -0.5 * self.sigma * self.sigma)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -147,9 +148,14 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, v in (("path_count", self.path_count), ("seed", self.seed)):
+            try:
+                operator.index(v)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {v!r}") from None
         if self.path_count < 1:
             raise ValueError(f"path_count must be >= 1, got {self.path_count}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -559,6 +565,8 @@ def fourier_put_ladder(
     for name, v in (("spot", spot), ("maturity", maturity), ("grid_step", grid_step)):
         if not (v > 0.0) or not math.isfinite(v):
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    if not damping > 0.0:
+        raise ValueError(f"damping exponent must be positive, got {damping!r}")
     if not _moment_bound_ok(damping, params):
         raise ValueError(f"damping exponent {damping!r} violates the moment condition")
     n = int(n_points)

@@ -118,6 +118,13 @@ def test_per_method_failure_leaves_other_methods_alive(monkeypatch):
     assert "mixture" in r.quotes
 
 
+def test_non_integer_mc_paths_fail_the_mc_rows_only():
+    rows = [ScenarioRow("r", 0.5, 18.0, 20.0, 0.1, 0.2, methods=("cgz", "mc"))]
+    r = run_scenarios(rows, mc_paths=2500.5).rows[0]
+    assert "cgz" in r.quotes
+    assert r.errors == {"mc": "ValueError: path_count must be an integer, got 2500.5"}
+
+
 def test_row_seeds_are_stable_and_distinct():
     assert np_seed_for_row(7, 0) == np_seed_for_row(7, 0)
     seeds = {np_seed_for_row(7, i) for i in range(64)}

@@ -4,6 +4,7 @@
   name another module needs belongs in the public surface.
 * Every ``__all__`` entry resolves.  ``perfbench/spans.py`` wraps each
   of them with ``getattr``, so a stale entry breaks a traced run.
+* The package exports the library modules' ``__all__`` and nothing else.
 * The names ``perfbench/`` imports or patches exist with the shape it
   uses.
 """
@@ -53,6 +54,15 @@ def test_every_exported_name_resolves(name):
         "vgpricer" if name == "__init__" else f"vgpricer.{name}")
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+def test_package_exports_the_library_modules_all():
+    from vgpricer import bench, fracderiv, laplace, model, pricing
+
+    modules = (model, laplace, fracderiv, pricing, bench)
+    want = [n for mod in modules for n in mod.__all__] + ["__version__"]
+    assert vgpricer.__all__ == want
+    assert len(set(want)) == len(want)
 
 
 def test_names_the_benchmark_uses_exist():

@@ -78,6 +78,11 @@ def test_theta_roots_vieta_identities():
         assert r.theta1 * r.theta2 == pytest.approx(-2.0 * lam / sig2, rel=1e-12)
 
 
+def test_table_roots_are_theta_roots():
+    for lam in (0.1, 1.0 / 0.2, 42.0):
+        assert build_coeff_table(lam, K, P, max_level=2).roots == theta_roots(lam, P)
+
+
 def test_theta_roots_domain():
     with pytest.raises(ValueError):
         theta_roots(0.0, P)

@@ -13,13 +13,11 @@ def test_drift_is_derived_from_sigma():
     assert p.sigma == 0.1 and p.nu == 0.2
 
 
-def test_explicit_drift_must_match_martingale_value():
-    ok = VgParams(sigma=0.1, nu=0.2, mu=-0.005)
-    assert ok.mu == -0.005
-    with pytest.raises(ValueError):
-        VgParams(sigma=0.1, nu=0.2, mu=-0.004)
-    with pytest.raises(ValueError):
-        VgParams(sigma=0.1, nu=0.2, mu=0.0)
+def test_drift_is_not_an_argument_so_one_model_is_one_value():
+    with pytest.raises(TypeError):
+        VgParams(0.1, 0.2, mu=-0.005)
+    a, b = VgParams(0.1, 0.2), VgParams(sigma=0.1, nu=0.2)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_martingale_identity_on_clock_grid():

@@ -407,10 +407,12 @@ def test_fourier_ladder_validates_grid():
         fourier_put_ladder(18.0, 0.5, P1, n_points=1000)  # not a power of two
     with pytest.raises(ValueError):
         fourier_put_ladder(18.0, 0.5, P1, n_points=8)
-    # unchecked, a negative step gives descending strikes and a negative
-    # maturity negative puts
+    # unchecked, a negative step gives descending strikes, a negative
+    # maturity negative puts, damping 0 NaN puts and damping -0.5 puts
+    # down to -17.99 (both dampings pass the moment condition)
     for bad in ({"grid_step": -0.25}, {"grid_step": 0.0}, {"maturity": -0.5},
-                {"maturity": 0.0}, {"spot": -18.0}, {"spot": math.inf}):
+                {"maturity": 0.0}, {"spot": -18.0}, {"spot": math.inf},
+                {"damping": 0.0}, {"damping": -0.5}):
         args = {"spot": 18.0, "maturity": 0.5, **bad}
         with pytest.raises(ValueError, match="must be positive"):
             fourier_put_ladder(params=P1, **args)
@@ -545,6 +547,10 @@ def test_mc_config_validation():
         McConfig(path_count=100, seed=-1)
     with pytest.raises(ValueError):
         McConfig(path_count=100, seed=2**64)
+    # unchecked, numpy raises TypeError only once the route draws
+    for bad in ({"path_count": 2.5}, {"seed": 1.5}, {"seed": 3.0}, {"seed": "3"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            McConfig(**bad)
 
 
 def test_mc_rejects_calls():
