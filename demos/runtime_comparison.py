@@ -8,7 +8,10 @@ closed form is pure arithmetic and runs in ~0.1 ms; the fractional
 shapes timed here pay for one tanh-sinh quadrature.  The mixture and
 Fourier integrals take roughly 0.4-1 ms each, since their QUADPACK
 integrands run on Python floats; Monte Carlo costs whatever the path
-budget says.
+budget says.  ``run_scenarios`` prices the Monte Carlo rows
+concurrently on up to ``os.cpu_count()`` threads, so each ``mc`` time
+below is that row's own wall time on its worker thread; the seeds and
+prices are the same as row by row.
 """
 
 import time

@@ -14,17 +14,27 @@ warm-up call is excluded whenever more than one repetition is
 requested).  Its ``cgz`` rows that share (sigma, nu) go together
 through ``pricing.price_cgz_group``, which shares the work of rows of
 one maturity or one strike, and each such row reports its batch's
-median time split evenly over the batch.  ``emit_report`` renders a
-report as aligned text, CSV (fixed header: table,t,S,K,sigma,nu,
-method,price,expected,abs_diff,elapsed_ns), or JSON.  Identical configuration and
-seeds give byte-identical CSV except for the elapsed_ns column.
+median time split evenly over the batch.  The ``mc`` rows of a call run
+concurrently, on a thread pool of up to ``os.cpu_count()`` workers
+shared by every call in the process, while the calling thread prices
+the other methods; an ``mc`` quote's ``elapsed`` is its own wall time
+on its worker, and seeds and results are the same as one by one.
+
+``emit_report`` renders a report as aligned text, CSV (fixed header:
+table,t,S,K,sigma,nu,method,price,expected,abs_diff,elapsed_ns), or
+JSON.  Identical configuration and seeds give byte-identical CSV except
+for the elapsed_ns column.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import operator
+import os
 import statistics
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -227,7 +237,19 @@ def run_scenarios(
     reports the median of the times ``price_cgz_group`` gave it: its
     batch's time split evenly over the batch's rows.  Nothing is kept
     from one repetition, or one call, to the next.
+
+    Before the first row is priced, every valid row's ``mc`` pricing is
+    submitted to a thread pool of up to ``os.cpu_count()`` workers
+    (numpy's generators and ufuncs release the GIL), and the calling
+    thread prices the other methods row by row meanwhile.  Each ``mc``
+    quote's ``elapsed`` is its own wall time on its worker; its seed,
+    value and error are the same as priced alone.  A call without an
+    ``mc`` row starts no thread.
     """
+    try:
+        operator.index(repetitions)
+    except TypeError:
+        raise ValueError(f"repetitions must be an integer, got {repetitions!r}") from None
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     results: list[RowResult] = []
@@ -243,31 +265,71 @@ def run_scenarios(
         except (ValueError, ArithmeticError) as exc:
             res.errors["*"] = f"{type(exc).__name__}: {exc}"
             contracts.append(None)
-    grouped = _grouped_cgz(rows, contracts, cfg, repetitions)
-    for idx, (row, res, contract) in enumerate(zip(rows, results, contracts)):
-        if contract is None:
-            continue
-        spec, params = contract
-        # only mc draws random numbers, so only its rows derive a seed
-        row_seed = np_seed_for_row(seed, idx) if "mc" in row.methods else None
-        for method in row.methods:
-            try:
-                quote = grouped.get(idx) if method == "cgz" else None
-                if quote is None:
-                    quote = _median_quote(
-                        method, spec, params, cfg, row_seed, mc_paths, repetitions
-                    )
-                elif isinstance(quote, Exception):
-                    raise quote
-                res.quotes[method] = quote
-            except (ValueError, ArithmeticError, RuntimeError) as exc:
-                res.errors[method] = f"{type(exc).__name__}: {exc}"
+    mc_jobs: dict = {}  # row index -> future of the row's mc quote
+    try:
+        for idx, (row, contract) in enumerate(zip(rows, contracts)):
+            # only mc draws random numbers, so only its rows derive a seed
+            if contract is not None and "mc" in row.methods:
+                spec, params = contract
+                mc_jobs[idx] = _mc_pool().submit(
+                    _median_quote, "mc", spec, params, cfg, np_seed_for_row(seed, idx),
+                    mc_paths, repetitions,
+                )
+        grouped = _grouped_cgz(rows, contracts, cfg, repetitions)
+        for idx, (row, res, contract) in enumerate(zip(rows, results, contracts)):
+            if contract is None:
+                continue
+            spec, params = contract
+            for method in row.methods:
+                try:
+                    if method == "mc":
+                        quote = mc_jobs[idx].result()
+                    else:
+                        quote = grouped.get(idx) if method == "cgz" else None
+                        if quote is None:
+                            quote = _median_quote(
+                                method, spec, params, cfg, None, mc_paths, repetitions
+                            )
+                        elif isinstance(quote, Exception):
+                            raise quote
+                    res.quotes[method] = quote
+                except (ValueError, ArithmeticError, RuntimeError) as exc:
+                    res.errors[method] = f"{type(exc).__name__}: {exc}"
+    finally:
+        # an exception escaping the call leaves no queued mc job to run
+        for job in mc_jobs.values():
+            job.cancel()
     return BenchReport(rows=results)
 
 
 def np_seed_for_row(seed: int, row_index: int) -> int:
     """Stable 64-bit per-row seed derived from (seed, row index)."""
     return int(np.random.SeedSequence([seed, row_index]).generate_state(1)[0])
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _mc_pool() -> ThreadPoolExecutor:
+    """The process's ``mc`` thread pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="vgpricer-mc")
+        return _pool
+
+
+def _forget_pool_after_fork() -> None:
+    # a forked child has none of the parent's threads: a job queued to
+    # the inherited pool would never run, and the inherited lock may be
+    # held by a thread that is gone
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def _grouped_cgz(rows, contracts, cfg, repetitions) -> dict:

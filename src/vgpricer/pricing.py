@@ -569,7 +569,10 @@ def fourier_put_ladder(
         raise ValueError(f"damping exponent must be positive, got {damping!r}")
     if not _moment_bound_ok(damping, params):
         raise ValueError(f"damping exponent {damping!r} violates the moment condition")
-    n = int(n_points)
+    try:
+        n = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if n < 16 or n & (n - 1):
         raise ValueError(f"n_points must be a power of two >= 16, got {n_points!r}")
     a = damping

@@ -34,13 +34,13 @@ its stated tolerance:
 import importlib.util
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vgpricer import (
-    McConfig,
     OptionSpec,
     QuadratureConfig,
     VgParams,
@@ -54,11 +54,10 @@ from vgpricer import (
     price_cgz_group,
     price_put_cgz,
     price_put_fourier,
-    price_put_mc,
     price_put_mixture,
 )
 from vgpricer import fracderiv
-from vgpricer.bench import BUILTIN_TABLES, np_seed_for_row
+from vgpricer.bench import BUILTIN_TABLES, run_scenarios
 
 # loaded by path under its own name: perfbench/ has a module named
 # ``reference`` too, and both suites may run in one session
@@ -245,18 +244,17 @@ def test_transform_structure():
 
 
 def test_monte_carlo_brackets_closed_form_everywhere():
+    # one call: row i draws at np_seed_for_row(MC_BASE_SEED, i), as it
+    # would priced alone, and the mc rows run on the bench's thread pool
     t0 = time.perf_counter()
-    worst_z = 0.0
-    rows = _all_rows()
-    for idx, row in enumerate(rows):
-        spec, params = _spec_of(row), _params_of(row)
-        exact = price_put_cgz(spec, params).value
-        q = price_put_mc(
-            spec, params,
-            McConfig(path_count=10_000_000, seed=np_seed_for_row(MC_BASE_SEED, idx)),
-        )
-        worst_z = max(worst_z, abs(q.value - exact) / q.diagnostics)
+    rows = [replace(row, methods=("cgz", "mc")) for row in _all_rows()]
+    report = run_scenarios(rows, seed=MC_BASE_SEED, mc_paths=10_000_000)
     elapsed = time.perf_counter() - t0
+    assert report.error_count == 0, [r.errors for r in report.rows if r.errors]
+    worst_z = max(
+        abs(r.quotes["mc"].value - r.quotes["cgz"].value) / r.quotes["mc"].diagnostics
+        for r in report.rows
+    )
     _report(
         "Monte Carlo concordance, 1e7 paths/row",
         worst_z < 3.0 and elapsed < 120.0,

@@ -5,8 +5,12 @@ import importlib.util
 import io
 import json
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -15,7 +19,7 @@ import pytest
 
 import vgpricer.laplace as laplace
 import vgpricer.pricing as pricing
-from vgpricer import OptionSpec, VgParams, price_put_cgz
+from vgpricer import McConfig, OptionSpec, VgParams, price, price_put_cgz
 from vgpricer.bench import (
     BUILTIN_TABLES,
     CSV_HEADER,
@@ -179,6 +183,156 @@ def test_mc_seeds_follow_the_row_index_in_a_mixed_row_list():
         assert (got.value, got.diagnostics) == (want.value, want.diagnostics)
 
 
+def _alone(rows, seed, mc_paths):
+    """Each row priced alone through ``price``, ``mc`` at the row's
+    seed: per method the quote's bits or the error string, in method
+    order; ``{"*": error}`` for an invalid row."""
+    out = []
+    for idx, row in enumerate(rows):
+        try:
+            spec = OptionSpec(row.spot, row.strike, row.maturity)
+            params = VgParams(row.sigma, row.nu)
+        except ValueError as exc:
+            out.append({"*": f"ValueError: {exc}"})
+            continue
+        got = {}
+        for method in row.methods:
+            try:
+                mc = McConfig(mc_paths, np_seed_for_row(seed, idx)) if method == "mc" else McConfig()
+                got[method] = _bits(price(spec, params, method, mc=mc))
+            except (ValueError, ArithmeticError, RuntimeError) as exc:
+                got[method] = f"{type(exc).__name__}: {exc}"
+        out.append(got)
+    return out
+
+
+def _outcomes(report):
+    """Per row, the quotes' bits and the errors, in method order."""
+    return [
+        {m: _bits(r.quotes[m]) if m in r.quotes else r.errors[m] for m in r.scenario.methods}
+        if "*" not in r.errors else dict(r.errors)
+        for r in report.rows
+    ]
+
+
+def test_concurrent_mc_rows_price_like_each_row_alone(monkeypatch):
+    # the deep row's cgz fails on the refused series, as do the
+    # fractional rows' cgz; every row of (0.1, 0.2) prices cgz in a group
+    _series_fails(monkeypatch)
+    reversed_methods = tuple(reversed(pricing.METHODS))
+    rows = [
+        ScenarioRow("T1", 0.2, 18.0, 20.0, 0.1, 0.2),
+        ScenarioRow("deep", 20.4, 18.0, 20.0, 0.1, 0.2),
+        ScenarioRow("bad", 0.5, 18.0, 20.0, 0.0, 0.2),
+        ScenarioRow("T3", 0.4, 22.0, 20.0, 0.1, 0.2, methods=reversed_methods),
+        ScenarioRow("T5", 0.1, 50.0, 35.0, 0.2, 0.25),
+        ScenarioRow("T6", 0.05, 50.0, 35.0, 0.2, 0.5, methods=reversed_methods),
+        ScenarioRow("T1", 1.0, 18.0, 20.0, 0.1, 0.2),
+    ]
+    report = run_scenarios(rows, seed=5, mc_paths=20_000)
+    want = _alone(rows, 5, 20_000)
+    assert _outcomes(report) == want
+    assert report.rows[1].errors == {"cgz": "ValueError: series refused"}
+    # each row keeps the order of its own methods
+    for r in report.rows:
+        assert list(r.quotes) == [m for m in r.scenario.methods if m in r.quotes]
+
+
+def test_mc_paths_below_one_fail_each_mc_row_alone():
+    rows = builtin_table_rows("T2")[:3]
+    report = run_scenarios(rows, mc_paths=0)
+    for r in report.rows:
+        assert r.errors == {"mc": "ValueError: path_count must be >= 1, got 0"}
+        assert list(r.quotes) == ["cgz", "mixture", "fourier"]
+
+
+def _run_child(code):
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_a_call_without_mc_rows_starts_no_thread():
+    out = _run_child("""
+        import threading
+        from vgpricer.bench import builtin_table_rows, run_scenarios
+        assert run_scenarios(builtin_table_rows("T2", ("cgz",))).error_count == 0
+        print(threading.active_count())
+    """)
+    assert out == ["1"]
+
+
+def test_concurrent_calls_share_one_pool():
+    # eight callers race to create the pool, whose construction is slowed
+    # to widen the race, with a thread switch every microsecond
+    out = _run_child("""
+        import sys, threading, time
+        import vgpricer.bench as bench
+
+        created = []
+
+        class SlowPool(bench.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.01)
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        bench.ThreadPoolExecutor = SlowPool
+        rows = bench.builtin_table_rows("T1", ("mc",))[:2]
+        barrier = threading.Barrier(8)
+        results = []
+
+        def call():
+            barrier.wait()
+            report = bench.run_scenarios(rows, seed=3, mc_paths=4_000)
+            results.append(tuple(r.quotes["mc"].value.hex() for r in report.rows))
+
+        sys.setswitchinterval(1e-6)
+        callers = [threading.Thread(target=call) for _ in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=50)
+        assert not any(t.is_alive() for t in callers)
+        print(len(created), len(results), len(set(results)))
+    """)
+    assert out == ["1", "8", "1"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_prices_mc_rows_like_its_parent():
+    # the child inherits the parent's pool object but none of its threads;
+    # the alarm ends a child that hangs, which the timeout would not reach
+    out = _run_child("""
+        import os, signal
+        from vgpricer.bench import builtin_table_rows, run_scenarios
+
+        def bits():
+            rows = builtin_table_rows("T1", ("mc",))[:2]
+            report = run_scenarios(rows, seed=3, mc_paths=4_000)
+            return " ".join(r.quotes["mc"].value.hex() for r in report.rows)
+
+        parent = bits()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(50)
+            os.close(read_end)
+            os.write(write_end, bits().encode())
+            os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as fh:
+            child = fh.read()
+        assert os.waitpid(pid, 0)[1] == 0
+        print(parent)
+        print(child)
+    """)
+    assert len(out) == 4 and out[:2] == out[2:]
+
+
 def test_repetitions_report_median_timing():
     rows = builtin_table_rows("T1", methods=("cgz",))[:1]
     report = run_scenarios(rows, repetitions=3)
@@ -186,6 +340,9 @@ def test_repetitions_report_median_timing():
     assert q.elapsed > 0.0
     with pytest.raises(ValueError):
         run_scenarios(rows, repetitions=0)
+    # unchecked, range() raises TypeError out of the whole run
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_scenarios(rows, repetitions=1.5)
 
 
 def test_row_time_is_the_median_of_the_quotes_elapsed(monkeypatch):

@@ -407,6 +407,9 @@ def test_fourier_ladder_validates_grid():
         fourier_put_ladder(18.0, 0.5, P1, n_points=1000)  # not a power of two
     with pytest.raises(ValueError):
         fourier_put_ladder(18.0, 0.5, P1, n_points=8)
+    # int() would price 4096.9 as 4096 points
+    with pytest.raises(ValueError, match="must be an integer"):
+        fourier_put_ladder(18.0, 0.5, P1, n_points=4096.9)
     # unchecked, a negative step gives descending strikes, a negative
     # maturity negative puts, damping 0 NaN puts and damping -0.5 puts
     # down to -17.99 (both dampings pass the moment condition)
